@@ -5,12 +5,14 @@
 //     cycle mmap → write-touch → munmap. Every frame (data and PT pages)
 //     routes through the per-node arenas; the gate is a >=90% local-
 //     allocation ratio (numa_local / (numa_local + numa_remote)).
-//   * cna vs mcs — the same cross-socket contention (2 threads per node,
-//     one shared lock, a critical section that pays the interconnect cost
-//     whenever the lock migrates between nodes) run against the flat MCS
-//     lock and the CNA lock. Gates: CNA acquisition p50 <= MCS p50 (timing,
-//     disabled under sanitizers) and nonzero cna_batched_handoffs /
-//     cna_secondary_enqueues (the batching actually engaged).
+//   * cna vs flat — the same cross-socket contention (2 threads per node,
+//     one shared CNA lock, a critical section that pays the interconnect
+//     cost whenever the lock migrates between nodes) run twice: once with
+//     each worker bound to its home node, once with every worker bound to
+//     node 0, where CNA never skips a waiter and is a flat FIFO MCS queue.
+//     Gates: CNA same-node p50 <= flat p50 (timing, disabled under
+//     sanitizers), fewer node crossings than flat, and nonzero
+//     cna_batched_handoffs (the batching actually engaged).
 //   * spill + home return — node 0's arena is drained dry from a node-0
 //     thread; further allocations must spill to the nearest remote arena
 //     (never fail), and freeing everything must restore every per-node free
@@ -40,7 +42,6 @@
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
 #include "src/sync/cna_lock.h"
-#include "src/sync/mcs_lock.h"
 #include "src/tlb/shootdown.h"
 #include "src/verif/wf_checker.h"
 
@@ -84,11 +85,14 @@ uint64_t Percentile(std::vector<uint64_t>& samples, double p) {
   return samples[idx];
 }
 
-// Binds the calling worker to the |slot|-th CPU of its assigned node.
-void BindWorker(int worker, int* out_node) {
+// Assigns the calling worker its logical node and binds it to a CPU of that
+// node — or, when |flat|, to its own CPU of node 0, so every layer that asks
+// CurrentNode() (the CNA lock included) sees a single node.
+void BindWorker(int worker, bool flat, int* out_node) {
   const NodeTopology& topo = NodeTopology::Instance();
   int node = worker / kThreadsPerNode % topo.nodes();
-  BindThisThreadToCpu(topo.FirstCpuOfNode(node) + worker % kThreadsPerNode);
+  BindThisThreadToCpu(flat ? topo.FirstCpuOfNode(0) + worker
+                           : topo.FirstCpuOfNode(node) + worker % kThreadsPerNode);
   *out_node = node;
 }
 
@@ -116,7 +120,7 @@ LocalityResult RunLocality(TelemetrySink& sink) {
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&vms, t] {
       int node;
-      BindWorker(t, &node);
+      BindWorker(t, /*flat=*/false, &node);
       CortenVm& mm = *vms[t];
       mm.NoteCpuActive(CurrentCpu());
       for (int c = 0; c < kLocalityCycles; ++c) {
@@ -152,7 +156,7 @@ LocalityResult RunLocality(TelemetrySink& sink) {
   return result;
 }
 
-// --- Phase B: CNA vs flat MCS under cross-socket contention ------------------
+// --- Phase B: CNA vs flat FIFO under cross-socket contention ----------------
 
 // Shared contention state. |prev_node| models the physical home of the lock's
 // protected cache lines: a holder whose node differs from the previous
@@ -172,8 +176,8 @@ struct ContendedCounter {
 // Base critical-section work and the per-cost-unit migration charge. Long
 // enough that all workers queue up behind the holder (the regime CNA is for);
 // the migration charge dwarfs the base so handoff ORDER dominates throughput:
-// flat MCS pays the transfer on nearly every FIFO handoff, CNA amortizes it
-// across a same-node batch.
+// a flat FIFO queue pays the transfer on nearly every handoff, CNA amortizes
+// it across a same-node batch.
 constexpr uint64_t kCsBaseNs = 200;
 constexpr uint64_t kNsPerCostUnit = 40;
 
@@ -186,8 +190,8 @@ void SpinForNs(uint64_t ns) {
 
 // Runs the critical section; returns true when the handoff stayed on the
 // previous holder's node (the "same-node" acquisitions the p50 gate is over —
-// a CNA batch keeps these cheap, FIFO MCS makes them wait behind whatever
-// migrations its arrival order happened to schedule).
+// a CNA batch keeps these cheap, a flat FIFO queue makes them wait behind
+// whatever migrations its arrival order happened to schedule).
 bool CriticalSection(ContendedCounter& state, int my_node) {
   bool same_node = state.prev_node == my_node;
   if (state.prev_node >= 0 && !same_node) {
@@ -206,41 +210,6 @@ struct WorkerSamples {
   std::vector<uint64_t> all;
   std::vector<uint64_t> same_node;
 };
-
-// Runs |threads| pinned workers hammering one lock. Waits for every worker at
-// a start barrier first — without it the short run is over before the last
-// thread spawns and the "contention" measures an empty queue.
-template <typename LockFn>
-void RunContention(int threads, ContendedCounter* state_out,
-                   WorkerSamples* pooled, LockFn&& acquire_release) {
-  ContendedCounter state;
-  std::atomic<int> ready{0};
-  std::vector<WorkerSamples> samples(threads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      int node;
-      BindWorker(t, &node);
-      samples[t].all.reserve(kLockIters);
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (ready.load(std::memory_order_acquire) < threads) {
-        CpuRelax();
-      }
-      for (int i = 0; i < kLockIters; ++i) {
-        acquire_release(state, node, &samples[t]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  for (WorkerSamples& s : samples) {
-    pooled->all.insert(pooled->all.end(), s.all.begin(), s.all.end());
-    pooled->same_node.insert(pooled->same_node.end(), s.same_node.begin(),
-                             s.same_node.end());
-  }
-  *state_out = state;
-}
 
 struct LockResult {
   uint64_t p50_ns = 0;       // All acquisitions.
@@ -262,34 +231,29 @@ LockResult Summarize(WorkerSamples& samples, const ContendedCounter& state) {
   return result;
 }
 
-LockResult RunMcsContention(int threads) {
-  McsLock lock;
-  WorkerSamples samples;
-  ContendedCounter state;
-  RunContention(
-      threads, &state, &samples,
-      [&lock](ContendedCounter& state, int node, WorkerSamples* out) {
-        McsNode qnode;
-        uint64_t t0 = NowNs();
-        lock.Lock(&qnode);
-        uint64_t wait = NowNs() - t0;
-        bool same = CriticalSection(state, node);
-        lock.Unlock(&qnode);
-        out->all.push_back(wait);
-        if (same) {
-          out->same_node.push_back(wait);
-        }
-      });
-  return Summarize(samples, state);
-}
-
-LockResult RunCnaContention(int threads) {
+// Runs |threads| workers hammering one CNA lock. Each passes its LOGICAL node
+// to CriticalSection, so migrations are charged the same way in both passes;
+// |flat| only changes where the workers are bound (see BindWorker), which is
+// all the lock's handoff policy looks at. Waits for every worker at a start
+// barrier first — without it the short run is over before the last thread
+// spawns and the "contention" measures an empty queue.
+LockResult RunCnaContention(int threads, bool flat) {
   CnaLock lock;
-  WorkerSamples samples;
   ContendedCounter state;
-  RunContention(
-      threads, &state, &samples,
-      [&lock](ContendedCounter& state, int node, WorkerSamples* out) {
+  std::atomic<int> ready{0};
+  std::vector<WorkerSamples> samples(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      int node;
+      BindWorker(t, flat, &node);
+      WorkerSamples& out = samples[t];
+      out.all.reserve(kLockIters);
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < threads) {
+        CpuRelax();
+      }
+      for (int i = 0; i < kLockIters; ++i) {
         CnaNode* qnode = CnaNodePool::Get();
         uint64_t t0 = NowNs();
         lock.Lock(qnode);
@@ -297,12 +261,23 @@ LockResult RunCnaContention(int threads) {
         bool same = CriticalSection(state, node);
         lock.Unlock(qnode);
         CnaNodePool::Put(qnode);
-        out->all.push_back(wait);
+        out.all.push_back(wait);
         if (same) {
-          out->same_node.push_back(wait);
+          out.same_node.push_back(wait);
         }
-      });
-  return Summarize(samples, state);
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  WorkerSamples pooled;
+  for (WorkerSamples& s : samples) {
+    pooled.all.insert(pooled.all.end(), s.all.begin(), s.all.end());
+    pooled.same_node.insert(pooled.same_node.end(), s.same_node.begin(),
+                            s.same_node.end());
+  }
+  return Summarize(pooled, state);
 }
 
 // --- Phase C: spill + home return --------------------------------------------
@@ -396,7 +371,7 @@ int main(int argc, char** argv) {
   PrintHeader("Ablation — NUMA topology (per-node arenas, CNA lock)",
               "per-node buddy arenas + CNA-style compact NUMA-aware lock "
               "(DESIGN.md §11)",
-              ">=90% local allocations pinned; CNA p50 <= flat MCS under "
+              ">=90% local allocations pinned; CNA p50 <= flat FIFO under "
               "cross-socket contention; spills succeed and frees return home.");
   std::printf("topology: %d node(s), %d CPUs per node, %d workers\n\n",
               topo.nodes(), topo.cpus_per_node(), threads);
@@ -417,12 +392,12 @@ int main(int argc, char** argv) {
     gate_ok = false;
   }
 
-  // --- Phase B: CNA vs MCS --------------------------------------------------
+  // --- Phase B: CNA vs flat ------------------------------------------------
   // Two live timing measurements: retry the pair to absorb scheduler noise
   // (same rationale as ablation_faultpath.cc), gate on the best pair.
   const StatsDomain& stats = GlobalStats();
   constexpr int kAttempts = 3;
-  LockResult mcs;
+  LockResult flat;
   LockResult cna;
   uint64_t batched = 0;
   uint64_t sec_enq = 0;
@@ -435,28 +410,28 @@ int main(int argc, char** argv) {
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
     const uint64_t batched0 = stats.Total(Counter::kCnaBatchedHandoffs);
     const uint64_t sec0 = stats.Total(Counter::kCnaSecondaryEnqueues);
-    mcs = RunMcsContention(threads);
-    cna = RunCnaContention(threads);
+    flat = RunCnaContention(threads, /*flat=*/true);
+    cna = RunCnaContention(threads, /*flat=*/false);
     batched = stats.Total(Counter::kCnaBatchedHandoffs) - batched0;
     sec_enq = stats.Total(Counter::kCnaSecondaryEnqueues) - sec0;
 #if NUMA_TIMING_GATES
     bool fast_enough = !wallclock_meaningful ||
-                       (cna.same_p50_ns <= mcs.same_p50_ns &&
-                        cna.same_count > 0 && mcs.same_count > 0);
+                       (cna.same_p50_ns <= flat.same_p50_ns &&
+                        cna.same_count > 0 && flat.same_count > 0);
 #else
     bool fast_enough = true;
 #endif
     bool fewer_crossings =
-        topo.nodes() < 2 || cna.migrations < mcs.migrations;
+        topo.nodes() < 2 || cna.migrations < flat.migrations;
     if (fast_enough && fewer_crossings && (topo.nodes() < 2 || batched > 0)) {
       break;
     }
     if (attempt + 1 < kAttempts) {
-      std::printf("attempt %d noisy (same-node p50 mcs/cna %llu/%llu, "
+      std::printf("attempt %d noisy (same-node p50 flat/cna %llu/%llu, "
                   "migrations %lld/%lld, batched %llu); remeasuring\n",
-                  attempt + 1, static_cast<unsigned long long>(mcs.same_p50_ns),
+                  attempt + 1, static_cast<unsigned long long>(flat.same_p50_ns),
                   static_cast<unsigned long long>(cna.same_p50_ns),
-                  static_cast<long long>(mcs.migrations),
+                  static_cast<long long>(flat.migrations),
                   static_cast<long long>(cna.migrations),
                   static_cast<unsigned long long>(batched));
     }
@@ -465,12 +440,12 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-24s %12s %12s %14s %12s %12s\n", "lock:", "p50_ns",
               "p99_ns", "same_p50_ns", "migrations", "counter");
-  std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", "mcs (flat)",
-              static_cast<unsigned long long>(mcs.p50_ns),
-              static_cast<unsigned long long>(mcs.p99_ns),
-              static_cast<unsigned long long>(mcs.same_p50_ns),
-              static_cast<long long>(mcs.migrations),
-              static_cast<long long>(mcs.counter));
+  std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", "flat (one node)",
+              static_cast<unsigned long long>(flat.p50_ns),
+              static_cast<unsigned long long>(flat.p99_ns),
+              static_cast<unsigned long long>(flat.same_p50_ns),
+              static_cast<long long>(flat.migrations),
+              static_cast<long long>(flat.counter));
   std::printf("%-24s %12llu %12llu %14llu %12lld %12lld\n", "cna",
               static_cast<unsigned long long>(cna.p50_ns),
               static_cast<unsigned long long>(cna.p99_ns),
@@ -478,45 +453,45 @@ int main(int argc, char** argv) {
               static_cast<long long>(cna.migrations),
               static_cast<long long>(cna.counter));
   std::printf("cna batched handoffs: %llu, secondary enqueues: %llu, "
-              "same-node acquisitions mcs/cna: %llu/%llu\n",
+              "same-node acquisitions flat/cna: %llu/%llu\n",
               static_cast<unsigned long long>(batched),
               static_cast<unsigned long long>(sec_enq),
-              static_cast<unsigned long long>(mcs.same_count),
+              static_cast<unsigned long long>(flat.same_count),
               static_cast<unsigned long long>(cna.same_count));
 
   const int64_t expected = static_cast<int64_t>(kLockIters) * threads;
-  if (mcs.counter != expected || cna.counter != expected) {
-    std::printf("  FAIL: lost increments (mcs %lld, cna %lld, expected %lld) — "
+  if (flat.counter != expected || cna.counter != expected) {
+    std::printf("  FAIL: lost increments (flat %lld, cna %lld, expected %lld) — "
                 "mutual exclusion broke\n",
-                static_cast<long long>(mcs.counter),
+                static_cast<long long>(flat.counter),
                 static_cast<long long>(cna.counter),
                 static_cast<long long>(expected));
     gate_ok = false;
   }
 #if NUMA_TIMING_GATES
   if (wallclock_meaningful) {
-    if (cna.same_count == 0 || mcs.same_count == 0 ||
-        cna.same_p50_ns > mcs.same_p50_ns) {
-      std::printf("  FAIL: CNA same-node p50 %lluns not below flat MCS %lluns "
+    if (cna.same_count == 0 || flat.same_count == 0 ||
+        cna.same_p50_ns > flat.same_p50_ns) {
+      std::printf("  FAIL: CNA same-node p50 %lluns not below flat %lluns "
                   "under cross-socket contention\n",
                   static_cast<unsigned long long>(cna.same_p50_ns),
-                  static_cast<unsigned long long>(mcs.same_p50_ns));
+                  static_cast<unsigned long long>(flat.same_p50_ns));
       gate_ok = false;
     }
   } else {
-    std::printf("timing gate (CNA same-node p50 <= MCS) informational only: "
+    std::printf("timing gate (CNA same-node p50 <= flat) informational only: "
                 "host has %u hardware threads for %d workers\n",
                 std::thread::hardware_concurrency(), threads);
   }
 #else
-  std::printf("timing gate (CNA same-node p50 <= MCS) informational only "
+  std::printf("timing gate (CNA same-node p50 <= flat) informational only "
               "under sanitizers\n");
 #endif
-  if (topo.nodes() >= 2 && cna.migrations >= mcs.migrations) {
-    std::printf("  FAIL: CNA crossed nodes %lld times, flat MCS %lld — the "
+  if (topo.nodes() >= 2 && cna.migrations >= flat.migrations) {
+    std::printf("  FAIL: CNA crossed nodes %lld times, flat %lld — the "
                 "NUMA-aware handoff must reduce interconnect transfers\n",
                 static_cast<long long>(cna.migrations),
-                static_cast<long long>(mcs.migrations));
+                static_cast<long long>(flat.migrations));
     gate_ok = false;
   }
   if (topo.nodes() >= 2 && batched == 0) {

@@ -3,17 +3,8 @@
 #include <cassert>
 
 #include "src/common/stats.h"
-#include "src/pmm/slab.h"
 
 namespace cortenmm {
-namespace {
-
-TypedSlab<Vma>& VmaSlab() {
-  static TypedSlab<Vma> slab("vma");
-  return slab;
-}
-
-}  // namespace
 
 VmaTree::~VmaTree() { FreeAll(root_); }
 
@@ -23,7 +14,7 @@ void VmaTree::FreeAll(Vma* node) {
   }
   FreeAll(node->left);
   FreeAll(node->right);
-  VmaSlab().Delete(node);
+  delete node;
 }
 
 void VmaTree::Update(Vma* node) {
@@ -82,13 +73,10 @@ Vma* VmaTree::InsertInto(Vma* node, Vma* fresh) {
 
 Vma* VmaTree::Insert(Vaddr start, Vaddr end, Perm perm) {
   assert(start < end);
-  Vma* fresh = VmaSlab().New();
-  assert(fresh != nullptr);
+  Vma* fresh = new Vma;
   fresh->start = start;
   fresh->end = end;
   fresh->perm = perm;
-  fresh->left = fresh->right = nullptr;
-  fresh->height = 1;
   root_ = InsertInto(root_, fresh);
   ++count_;
   return fresh;
@@ -134,7 +122,7 @@ void VmaTree::Erase(Vma* vma) {
   Vma* erased = nullptr;
   root_ = EraseFrom(root_, vma->start, &erased);
   assert(erased == vma);
-  VmaSlab().Delete(erased);
+  delete erased;
   --count_;
 }
 

@@ -129,7 +129,6 @@ struct Perm {
 
   static constexpr Perm R() { return Perm(kRead | kUser); }
   static constexpr Perm RW() { return Perm(kRead | kWrite | kUser); }
-  static constexpr Perm RX() { return Perm(kRead | kExec | kUser); }
   static constexpr Perm RWX() { return Perm(kRead | kWrite | kExec | kUser); }
 };
 

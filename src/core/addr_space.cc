@@ -237,7 +237,7 @@ void RCursor::AcquireRw() {
 }
 
 // CortenMM_adv (Figure 6): lock-free traversal in an RCU read-side critical
-// section, MCS-lock the covering page, retry if stale, then DFS-lock all
+// section, CNA-lock the covering page, retry if stale, then DFS-lock all
 // existing descendants.
 void RCursor::AcquireAdv() {
   PageTable& pt = space_->page_table();
@@ -272,7 +272,7 @@ void RCursor::AcquireAdv() {
     bool stale;
     {
       ScopedPhaseTimer mcs_timer(LockPhase::kMcsAcquire, sampled);
-      // Chaos: widen the window between the lock-free traversal and the MCS
+      // Chaos: widen the window between the lock-free traversal and the CNA
       // acquire — exactly where a concurrent unmap can turn |cur| stale.
       FaultInjector::Instance().MaybeStall(FaultSite::kAdvLockStall);
       mem.Descriptor(cur).cna.Lock(node);

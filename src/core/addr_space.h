@@ -11,7 +11,7 @@
 //        no locks: any conflicting transaction must pass through the covering
 //        page.
 //   kAdv (CortenMM_adv): lock-free traversal to the covering PT page inside an
-//        RCU read-side critical section, then an MCS lock on the covering page
+//        RCU read-side critical section, then a CNA lock on the covering page
 //        (retrying if it went stale, i.e. raced with an unmap), then a preorder
 //        DFS locking every existing descendant. Unmapped PT pages are marked
 //        stale and retired to the RCU monitor (Figure 7).
@@ -216,7 +216,7 @@ class RCursor {
   // kRw state: read-locked ancestors, in acquisition order.
   SmallVec<RwPathEntry, 4> rw_path_;
 
-  // kAdv state: every locked PT page in acquisition order. MCS nodes come
+  // kAdv state: every locked PT page in acquisition order. CNA nodes come
   // from the per-thread CnaNodePool so their addresses are stable while
   // enqueued and no transaction pays a heap allocation for them.
   SmallVec<AdvLockedPage, 16> adv_locked_;

@@ -13,8 +13,6 @@ const char* FaultSiteName(FaultSite site) {
       return "buddy_alloc_block";
     case FaultSite::kBuddyAllocFrame:
       return "buddy_alloc_frame";
-    case FaultSite::kSlabAlloc:
-      return "slab_alloc";
     case FaultSite::kShootdownStraggler:
       return "shootdown_straggler";
     case FaultSite::kAdvLockStall:

@@ -1,7 +1,7 @@
 // Deterministic fault injection for the MM's hardest-to-reach paths.
 //
 // Named injection sites cover the three failure families the chaos suite
-// drives: allocator exhaustion (buddy / slab return kNoMem), TLB shootdown
+// drives: allocator exhaustion (buddy returns kNoMem), TLB shootdown
 // stragglers (a target CPU acks late), and lock-acquisition stalls (widening
 // the race windows between a protocol's traversal and its lock acquisition).
 //
@@ -31,9 +31,8 @@ namespace cortenmm {
 enum class FaultSite : int {
   kBuddyAllocBlock = 0,   // BuddyAllocator::AllocBlock (multi-frame blocks).
   kBuddyAllocFrame,       // AllocFrame / AllocZeroedFrame (covers PT pages).
-  kSlabAlloc,             // SlabCache::Alloc returns nullptr.
   kShootdownStraggler,    // A shootdown target CPU delays before invalidating.
-  kAdvLockStall,          // kAdv: between RCU traversal and the MCS acquire.
+  kAdvLockStall,          // kAdv: between RCU traversal and the CNA acquire.
   kRwLockStall,           // kRw: inside the read-unlock -> write-lock upgrade.
   kSwapDevWrite,          // SwapDevice::WriteNewBlock fails (device full /
                           // write error) — mid-eviction rollback coverage.

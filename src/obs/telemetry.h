@@ -3,7 +3,7 @@
 //
 //   * LatencyHistogram — log2-bucketed nanosecond histograms, one slot per
 //     CPU, recording every MM entry point (MmOp) and every lock-protocol
-//     phase (LockPhase: rw descent, adv RCU traversal, MCS acquire, DFS
+//     phase (LockPhase: rw descent, adv RCU traversal, CNA acquire, DFS
 //     subtree lock, TLB shootdown wait, ...). Merging and percentile math
 //     happen off the hot path.
 //   * TraceRing — a fixed-size per-CPU ring of transaction events (acquire
@@ -55,7 +55,7 @@ enum class MmOp : int {
 enum class LockPhase : int {
   kRwDescent = 0,       // kRw: hand-over-hand BRAVO read descent + covering write lock
   kAdvRcuTraversal,     // kAdv: lock-free traversal inside the RCU read section
-  kMcsAcquire,          // kAdv: MCS lock on the covering candidate (incl. stale retries)
+  kMcsAcquire,          // kAdv: CNA lock on the covering candidate (incl. stale retries)
   kDfsSubtreeLock,      // kAdv: preorder DFS over existing descendants
   kShootdownWait,       // TLB shootdown issue-to-done (initiator side)
   kBravoRevocation,     // BRAVO writer bias-revocation scan

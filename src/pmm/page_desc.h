@@ -23,7 +23,6 @@ enum class FrameType : uint8_t {
   kAnon,         // Anonymous user data page.
   kFileCache,    // Page-cache page of a simulated file.
   kPageTable,    // A PT page; PT-specific fields are live.
-  kSlab,         // Backs the slab allocator.
   kKernel,       // Other kernel allocation (NR logs, swap buffers, ...).
   kCached,       // Parked in a per-CPU buddy cache: freed but not yet on a
                  // free list. Distinct from kFree so the leak checker can

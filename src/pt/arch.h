@@ -14,8 +14,6 @@ enum class Arch {
   kRiscvSv48,
 };
 
-const char* ArchName(Arch arch);
-
 }  // namespace cortenmm
 
 #endif  // SRC_PT_ARCH_H_

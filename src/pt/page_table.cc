@@ -21,16 +21,6 @@ std::atomic<uint64_t>* SlotPtr(Pfn pt_page, uint64_t index) {
 
 }  // namespace
 
-const char* ArchName(Arch arch) {
-  switch (arch) {
-    case Arch::kX86_64:
-      return "x86-64";
-    case Arch::kRiscvSv48:
-      return "riscv-sv48";
-  }
-  return "unknown";
-}
-
 Result<PageTable> PageTable::Create(Arch arch) {
   PageTable pt;
   pt.arch_ = arch;

@@ -112,7 +112,7 @@ void MmRing::CombineOnce() {
   CnaNode* node = CnaNodePool::Get();
   combiner_lock_.Lock(node);
   // Re-check under the lock: the previous combiner may have executed our ops
-  // on our behalf while we waited in the MCS queue (flat combining's win).
+  // on our behalf while we waited in the CNA queue (flat combining's win).
   if (pending_.load(std::memory_order_acquire) != 0) {
     Drain();
   }

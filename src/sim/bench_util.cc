@@ -101,10 +101,6 @@ std::vector<MmKind> ComparisonSet() {
           MmKind::kNros};
 }
 
-std::vector<MmKind> AblationSet() {
-  return {MmKind::kCortenAdv, MmKind::kCortenAdvVpa, MmKind::kCortenAdvBase};
-}
-
 const char* PlacementName(Placement placement) {
   return placement == Placement::kSameNode ? "same-node" : "striped";
 }
@@ -265,12 +261,6 @@ uint64_t TimingMm::KernelNanos() const {
     total += nanos_[cpu].value.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-void TimingMm::ResetKernelNanos() {
-  for (int cpu = 0; cpu < kMaxCpus; ++cpu) {
-    nanos_[cpu].value.store(0, std::memory_order_relaxed);
-  }
 }
 
 // ---------------------------------------------------------------------------

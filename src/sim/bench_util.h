@@ -33,8 +33,6 @@ std::unique_ptr<MmInterface> MakeMm(MmKind kind, Arch arch = Arch::kX86_64);
 
 // The standard comparison set (Figures 1, 13, 14).
 std::vector<MmKind> ComparisonSet();
-// The ablation set (Figures 16, 17).
-std::vector<MmKind> AblationSet();
 
 // ---------------------------------------------------------------------------
 // NUMA placement policies
@@ -121,7 +119,6 @@ class TimingMm final : public MmInterface {
 
   // Total nanoseconds spent in MM entry points, across all threads.
   uint64_t KernelNanos() const;
-  void ResetKernelNanos();
 
  private:
   MmInterface* inner_;

@@ -1,6 +1,6 @@
 // Test-and-test-and-set spin lock with bounded backoff. Used for cold-path
 // structures (buddy free lists, file registries); the page-table hot path
-// uses the MCS and phase-fair locks instead (paper §4.5 "Locks").
+// uses the CNA and phase-fair locks instead (paper §4.5 "Locks").
 #ifndef SRC_SYNC_SPINLOCK_H_
 #define SRC_SYNC_SPINLOCK_H_
 

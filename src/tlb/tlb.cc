@@ -101,13 +101,4 @@ void Tlb::InvalidateAsid(Asid asid) {
   }
 }
 
-void Tlb::InvalidateAll() {
-  SpinGuard guard(lock_);
-  for (auto& set : sets_) {
-    for (auto& entry : set) {
-      entry.valid = false;
-    }
-  }
-}
-
 }  // namespace cortenmm

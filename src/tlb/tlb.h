@@ -42,7 +42,6 @@ class Tlb {
   // over the TLB regardless of how many ranges the batch carries.
   void InvalidateRanges(Asid asid, const VaRange* ranges, size_t num_ranges);
   void InvalidateAsid(Asid asid);
-  void InvalidateAll();
 
   uint64_t lookups() const { return lookups_; }
   uint64_t hits() const { return hits_; }

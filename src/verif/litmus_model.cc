@@ -542,79 +542,68 @@ std::unique_ptr<MemProgModel> MakeSeqCountLitmus(SeqCountVariant variant) {
   return model;
 }
 
-// --- MCS handoff -------------------------------------------------------------
+// --- CNA primary-queue (MCS) handoff ----------------------------------------
 
 std::unique_ptr<MemProgModel> MakeMcsHandoffLitmus(McsVariant variant) {
-  // vars: tail, next[1], next[2], locked[1], locked[2], data. Thread t
-  // (0-based) models queue node id t+1; with two threads the predecessor /
-  // successor can only be the other node, so pointer chasing reduces to
-  // immediate indices.
+  // vars: tail, next[1], next[2], spin[1], spin[2], data. Thread t (0-based)
+  // models queue node id t+1; with two threads the predecessor / successor
+  // can only be the other node, so pointer chasing reduces to immediate
+  // indices. Both threads sit on one NUMA node, so the unlocker never skips a
+  // waiter and the secondary queue stays empty: spin only ever holds 0
+  // (waiting) or kGrantNoSec (1).
   const int tail = 0, data = 5;
-  auto next_of = [](int id) { return id; };        // next[1]=1, next[2]=2.
-  auto locked_of = [](int id) { return id + 2; };  // locked[1]=3, locked[2]=4.
+  const int kGrantNoSec = 1;
+  auto next_of = [](int id) { return id; };      // next[1]=1, next[2]=2.
+  auto spin_of = [](int id) { return id + 2; };  // spin[1]=3, spin[2]=4.
+  // The demoted acquisition spends one extra instruction; every later pc
+  // shifts by |d| (the pcs in the comments are kAsWritten's).
+  const int d = variant == McsVariant::kNonAtomicTailSwap ? 1 : 0;
+  const int cs_begin = 9 + d, cs_end = 11 + d;
 
   std::vector<MemProgModel::ThreadScript> threads;
-  int cs_begin = 0, cs_end = 0;
   for (int id = 1; id <= 2; ++id) {
     int other = 3 - id;
     MemProgModel::ThreadScript t;
-    if (variant == McsVariant::kAsWritten) {
-      t.code = {
-          Instr::Store(next_of(id), 0, MO::kRelaxed),    //  0: node->next = null (mcs_lock.h Lock).
-          Instr::Store(locked_of(id), 1, MO::kRelaxed),  //  1: node->locked = true (mcs_lock.h Lock).
-          Instr::Exchange(0, tail, id, MO::kAcqRel),     //  2: tail.exchange (mcs_lock.h Lock).
-          Instr::BranchEq(0, 0, 7),                      //  3: uncontended -> CS.
-          Instr::Store(next_of(other), id, MO::kRelease),//  4: prev->next = node (mcs_lock.h Lock).
-          Instr::Load(1, locked_of(id), MO::kAcquire),   //  5: spin on own node (mcs_lock.h Lock).
-          Instr::BranchEq(1, 1, 5),                      //  6
-          Instr::Load(2, data, MO::kRelaxed),            //  7: CS: non-atomic increment —
-          Instr::AddReg(2, 1),                           //  8: the lock is the only protection.
-          Instr::StoreReg(data, 2, MO::kRelaxed),        //  9
-          Instr::Load(1, next_of(id), MO::kAcquire),     // 10: Unlock (mcs_lock.h Unlock).
-          Instr::BranchNe(1, 0, 15),                     // 11: successor linked -> handoff.
-          Instr::Cas(1, tail, id, 0, MO::kAcqRel),       // 12: no waiter? (mcs_lock.h Unlock).
-          Instr::BranchEq(1, 1, 16),                     // 13: released.
-          Instr::Goto(10),                               // 14: enqueuer mid-link: wait.
-          Instr::Store(locked_of(other), 0, MO::kRelease),  // 15: handoff (mcs_lock.h Unlock).
-      };
-      cs_begin = 7;
-      cs_end = 9;
+    t.code = {
+        Instr::Store(next_of(id), 0, MO::kRelaxed),  // 0: node->next = null (cna_lock.cc Lock).
+        Instr::Store(spin_of(id), 0, MO::kRelaxed),  // 1: node->spin = 0 (cna_lock.cc Lock).
+    };
+    if (d == 0) {
+      t.code.push_back(Instr::Exchange(0, tail, id, MO::kAcqRel));  // 2: tail.exchange (cna_lock.cc Lock).
     } else {
-      // kNonAtomicTailSwap: acquisition demoted to load-tail-then-store-tail.
-      t.code = {
-          Instr::Store(next_of(id), 0, MO::kRelaxed),    //  0
-          Instr::Store(locked_of(id), 1, MO::kRelaxed),  //  1
-          Instr::Load(0, tail, MO::kAcquire),            //  2: BROKEN: read...
-          Instr::Store(tail, id, MO::kRelaxed),          //  3: ...then write.
-          Instr::BranchEq(0, 0, 8),                      //  4
-          Instr::Store(next_of(other), id, MO::kRelease),//  5
-          Instr::Load(1, locked_of(id), MO::kAcquire),   //  6
-          Instr::BranchEq(1, 1, 6),                      //  7
-          Instr::Load(2, data, MO::kRelaxed),            //  8: CS.
-          Instr::AddReg(2, 1),                           //  9
-          Instr::StoreReg(data, 2, MO::kRelaxed),        // 10
-          Instr::Load(1, next_of(id), MO::kAcquire),     // 11
-          Instr::BranchNe(1, 0, 16),                     // 12
-          Instr::Cas(1, tail, id, 0, MO::kAcqRel),       // 13
-          Instr::BranchEq(1, 1, 17),                     // 14
-          Instr::Goto(11),                               // 15
-          Instr::Store(locked_of(other), 0, MO::kRelease),  // 16
-      };
-      cs_begin = 8;
-      cs_end = 10;
+      t.code.push_back(Instr::Load(0, tail, MO::kAcquire));    // BROKEN: read...
+      t.code.push_back(Instr::Store(tail, id, MO::kRelaxed));  // ...then write.
     }
+    const std::vector<Instr> rest = {
+        Instr::BranchNe(0, 0, 6 + d),                             // 3: contended -> link.
+        Instr::Store(spin_of(id), kGrantNoSec, MO::kRelaxed),     // 4: uncontended grant (cna_lock.cc Lock).
+        Instr::Goto(9 + d),                                       // 5
+        Instr::Store(next_of(other), id, MO::kRelease),           // 6: prev->next = node (cna_lock.cc Lock).
+        Instr::Load(1, spin_of(id), MO::kAcquire),                // 7: spin on own node (cna_lock.cc Lock).
+        Instr::BranchEq(1, 0, 7 + d),                             // 8
+        Instr::Load(2, data, MO::kRelaxed),                       // 9: CS: non-atomic increment —
+        Instr::AddReg(2, 1),                                      // 10: the lock is the only protection.
+        Instr::StoreReg(data, 2, MO::kRelaxed),                   // 11
+        Instr::Load(1, next_of(id), MO::kAcquire),                // 12: succ = next (cna_lock.cc Unlock).
+        Instr::BranchNe(1, 0, 18 + d),                            // 13: successor linked -> Grant.
+        Instr::Cas(1, tail, id, 0, MO::kAcqRel),                  // 14: no waiter? (cna_lock.cc Unlock).
+        Instr::BranchEq(1, 1, 19 + d),                            // 15: released.
+        Instr::Load(1, next_of(id), MO::kAcquire),                // 16: mid-enqueue (cna_lock.cc WaitForNext).
+        Instr::BranchEq(1, 0, 16 + d),                            // 17
+        Instr::Store(spin_of(other), kGrantNoSec, MO::kRelease),  // 18: handoff (cna_lock.cc Grant).
+    };
+    t.code.insert(t.code.end(), rest.begin(), rest.end());
     threads.push_back(std::move(t));
   }
 
   auto model = std::make_unique<MemProgModel>(
-      variant == McsVariant::kAsWritten ? "mcs-handoff" : "mcs-nonatomic-tail-swap",
-      6, 3, std::move(threads));
+      d == 0 ? "mcs-handoff" : "mcs-nonatomic-tail-swap", 6, 3, std::move(threads));
   model->SetInvariant([cs_begin, cs_end, data](const MemProgModel::View& v,
                                                std::string* why) {
     bool t0_in_cs = v.Pc(0) >= cs_begin && v.Pc(0) <= cs_end;
     bool t1_in_cs = v.Pc(1) >= cs_begin && v.Pc(1) <= cs_end;
     if (t0_in_cs && t1_in_cs) {
-      *why = "both threads inside the MCS critical section";
+      *why = "both threads inside the CNA critical section";
       return false;
     }
     if (v.AllDone() && v.Mem(data) != 2) {

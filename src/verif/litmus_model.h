@@ -234,12 +234,15 @@ enum class SeqCountVariant {
 };
 std::unique_ptr<MemProgModel> MakeSeqCountLitmus(SeqCountVariant variant);
 
-// MCS lock handoff (src/sync/mcs_lock.h): two threads acquire, run a
-// non-atomic read-modify-write critical section on a shared counter, release
-// with the next-pointer handoff. Invariants: the critical sections never
-// overlap and no increment is lost (counter == 2 in every final state).
+// CNA primary-queue handoff (src/sync/cna_lock.cc), which is the MCS
+// handoff: two same-node threads acquire, run a non-atomic read-modify-write
+// critical section on a shared counter, release with the next-pointer
+// handoff. On one node the unlocker never skips a waiter, so the secondary
+// queue stays empty and the grant is a plain FIFO store (the park/wake half
+// is MakeCnaHandoffLitmus). Invariants: the critical sections never overlap
+// and no increment is lost (counter == 2 in every final state).
 enum class McsVariant {
-  kAsWritten,  // tail exchange / next release / locked acquire-spin: passes.
+  kAsWritten,  // tail exchange / next release / spin acquire-wait: passes.
   // Acquisition demoted from the atomic tail exchange to a non-atomic
   // load-then-store of tail: both threads read tail == null and both enter
   // the critical section. The counterexample that pins WHY Lock() must swap

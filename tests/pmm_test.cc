@@ -1,5 +1,5 @@
 // Tests for the physical memory manager: buddy allocator (split/coalesce,
-// exhaustion behaviour, per-CPU caches), slab allocator, page descriptors.
+// exhaustion behaviour, per-CPU caches), page descriptors.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,7 +13,6 @@
 #include "src/pmm/buddy.h"
 #include "src/pmm/page_desc.h"
 #include "src/pmm/phys_mem.h"
-#include "src/pmm/slab.h"
 
 namespace cortenmm {
 namespace {
@@ -383,94 +382,6 @@ TEST(NumaTest, FreesFromForeignCpuReturnToHomeArena) {
 
   BindThisThreadToCpu(topo.FirstCpuOfNode(0));
   buddy.SetMagazinesEnabled(true);
-}
-
-// ---------------------------------------------------------------------------
-// Slab
-// ---------------------------------------------------------------------------
-
-TEST(SlabTest, AllocFreeReuse) {
-  SlabCache cache(48, "test-48");
-  void* a = cache.Alloc();
-  void* b = cache.Alloc();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  cache.Free(a);
-  cache.Free(b);
-  // Reuse comes from the per-CPU magazine.
-  void* c = cache.Alloc();
-  EXPECT_TRUE(c == a || c == b);
-  cache.Free(c);
-}
-
-TEST(SlabTest, ObjectsDoNotOverlap) {
-  SlabCache cache(64, "test-64");
-  std::vector<void*> objs;
-  for (int i = 0; i < 500; ++i) {
-    void* p = cache.Alloc();
-    ASSERT_NE(p, nullptr);
-    std::memset(p, i & 0xff, 64);
-    objs.push_back(p);
-  }
-  // Writing a distinct pattern into each object must not corrupt others.
-  for (int i = 0; i < 500; ++i) {
-    auto* bytes = static_cast<uint8_t*>(objs[i]);
-    std::memset(bytes, (i * 7) & 0xff, 64);
-  }
-  std::set<void*> unique(objs.begin(), objs.end());
-  EXPECT_EQ(unique.size(), objs.size());
-  for (void* p : objs) {
-    cache.Free(p);
-  }
-}
-
-TEST(SlabTest, TypedSlabConstructsAndDestroys) {
-  struct Probe {
-    explicit Probe(int* counter) : counter_(counter) { ++*counter_; }
-    ~Probe() { --*counter_; }
-    int* counter_;
-    char pad[40];
-  };
-  TypedSlab<Probe> slab("probe");
-  int live = 0;
-  Probe* a = slab.New(&live);
-  Probe* b = slab.New(&live);
-  EXPECT_EQ(live, 2);
-  slab.Delete(a);
-  slab.Delete(b);
-  EXPECT_EQ(live, 0);
-}
-
-TEST(SlabTest, ConcurrentAllocFree) {
-  SlabCache cache(32, "test-mt");
-  std::vector<std::thread> workers;
-  std::atomic<bool> failed{false};
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      BindThisThreadToCpu(t + 40);
-      std::vector<void*> mine;
-      for (int round = 0; round < 200; ++round) {
-        for (int i = 0; i < 32; ++i) {
-          void* p = cache.Alloc();
-          if (p == nullptr) {
-            failed.store(true);
-            return;
-          }
-          *static_cast<uint64_t*>(p) = static_cast<uint64_t>(t) << 32 | i;
-          mine.push_back(p);
-        }
-        for (void* p : mine) {
-          cache.Free(p);
-        }
-        mine.clear();
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  EXPECT_FALSE(failed.load());
 }
 
 }  // namespace

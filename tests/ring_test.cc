@@ -164,7 +164,7 @@ TEST(MmRingTest, BackpressureAtDepthUnreapedCompletions) {
 // Flat-combining handoff under contention: several bound threads submit and
 // barrier concurrently; every thread must reap exactly its own completions in
 // its own submission order, whichever thread ends up combining. (The tsan
-// preset runs this to race-check the MCS handoff and SPSC index protocol.)
+// preset runs this to race-check the CNA handoff and SPSC index protocol.)
 TEST(MmRingTest, ConcurrentSubmittersEachReapTheirOwnInOrder) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;

@@ -1,10 +1,9 @@
-// Unit and stress tests for the synchronization substrate: MCS lock, CNA
-// lock, phase-fair rwlock, BRAVO bias layer, epoch RCU, seqcount.
+// Unit and stress tests for the synchronization substrate: CNA lock,
+// phase-fair rwlock, BRAVO bias layer, epoch RCU, seqcount.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <thread>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "src/common/topology.h"
 #include "src/sync/bravo.h"
 #include "src/sync/cna_lock.h"
-#include "src/sync/mcs_lock.h"
 #include "src/sync/pfq_rwlock.h"
 #include "src/sync/rcu.h"
 #include "src/sync/seqlock.h"
@@ -25,71 +23,6 @@ namespace {
 int StressThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw >= 4 ? 4 : 2;
-}
-
-// ---------------------------------------------------------------------------
-// MCS lock
-// ---------------------------------------------------------------------------
-
-TEST(McsLockTest, UncontendedLockUnlock) {
-  McsLock lock;
-  McsNode node;
-  lock.Lock(&node);
-  EXPECT_TRUE(lock.IsLockedHint());
-  lock.Unlock(&node);
-  EXPECT_FALSE(lock.IsLockedHint());
-}
-
-TEST(McsLockTest, TryLockFailsWhenHeld) {
-  McsLock lock;
-  McsNode a;
-  McsNode b;
-  lock.Lock(&a);
-  EXPECT_FALSE(lock.TryLock(&b));
-  lock.Unlock(&a);
-  EXPECT_TRUE(lock.TryLock(&b));
-  lock.Unlock(&b);
-}
-
-TEST(McsLockTest, MutualExclusionStress) {
-  McsLock lock;
-  int64_t counter = 0;
-  constexpr int kIters = 20000;
-  int threads = StressThreads();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&lock, &counter] {
-      for (int i = 0; i < kIters; ++i) {
-        McsNode node;
-        lock.Lock(&node);
-        // Non-atomic increment: torn only if mutual exclusion is broken.
-        counter = counter + 1;
-        lock.Unlock(&node);
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  EXPECT_EQ(counter, static_cast<int64_t>(kIters) * threads);
-}
-
-TEST(McsLockTest, FifoHandoffUnderNesting) {
-  // One thread holds many locks at once via distinct nodes (the RCursor
-  // pattern): nodes must be independent.
-  constexpr int kLocks = 64;
-  std::vector<McsLock> locks(kLocks);
-  std::deque<McsNode> nodes;
-  for (int i = 0; i < kLocks; ++i) {
-    nodes.emplace_back();
-    locks[i].Lock(&nodes.back());
-  }
-  for (int i = kLocks - 1; i >= 0; --i) {
-    locks[i].Unlock(&nodes[i]);
-  }
-  for (int i = 0; i < kLocks; ++i) {
-    EXPECT_FALSE(locks[i].IsLockedHint());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,6 +69,38 @@ TEST(CnaLockTest, NestedHoldsUseDistinctPoolNodes) {
   for (int i = 0; i < kLocks; ++i) {
     EXPECT_FALSE(locks[i].IsLockedHint());
   }
+}
+
+TEST(CnaLockTest, SameNodeMutualExclusionStress) {
+  // Every worker on node 0: the unlocker never skips a waiter, so the lock
+  // runs as a plain FIFO MCS queue — the grant path the NUMA-aware one builds
+  // on, and the flat comparator in bench/ablation_numa.cc.
+  CnaLock lock;
+  int64_t counter = 0;
+  constexpr int kIters = 20000;
+  const int threads = StressThreads();
+  const uint64_t skipped_before =
+      GlobalStats().Total(Counter::kCnaSecondaryEnqueues);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&lock, &counter, t] {
+      BindThisThreadToCpu(NodeTopology::Instance().FirstCpuOfNode(0) + t);
+      for (int i = 0; i < kIters; ++i) {
+        CnaNode* node = CnaNodePool::Get();
+        lock.Lock(node);
+        // Non-atomic increment: torn only if mutual exclusion is broken.
+        counter = counter + 1;
+        lock.Unlock(node);
+        CnaNodePool::Put(node);
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(counter, static_cast<int64_t>(kIters) * threads);
+  EXPECT_EQ(GlobalStats().Total(Counter::kCnaSecondaryEnqueues),
+            skipped_before);
 }
 
 TEST(CnaLockTest, CrossNodeMutualExclusionStress) {
