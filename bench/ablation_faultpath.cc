@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     on = RunMode(sink, ("mag_on" + suffix).c_str(), options,
                  /*magazines=*/true, /*scrub=*/true);
     bool locks_clean = on.buddy_locks == 0;
-#if CORTENMM_TELEMETRY && FAULTPATH_TIMING_GATES
+#if FAULTPATH_TIMING_GATES
     bool fast_enough =
         on.p50_ns != 0 && static_cast<double>(off.p50_ns) >=
                               1.5 * static_cast<double>(on.p50_ns);
@@ -274,23 +274,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(on.buddy_locks));
     gate_ok = false;
   }
-#if CORTENMM_TELEMETRY && FAULTPATH_TIMING_GATES
   double speedup = on.p50_ns == 0
                        ? 0.0
                        : static_cast<double>(off.p50_ns) / static_cast<double>(on.p50_ns);
+#if FAULTPATH_TIMING_GATES
   std::printf("\nfault p50 speedup (mag on vs off): %.2fx (gate: >=1.5x)\n", speedup);
   if (speedup < 1.5) {
     std::printf("  FAIL: p50 speedup %.2fx is below the 1.5x gate\n", speedup);
     gate_ok = false;
   }
-#elif CORTENMM_TELEMETRY
-  double speedup = on.p50_ns == 0
-                       ? 0.0
-                       : static_cast<double>(off.p50_ns) / static_cast<double>(on.p50_ns);
+#else
   std::printf("\nfault p50 speedup (mag on vs off): %.2fx — informational only "
               "(timing gate disabled under sanitizers)\n", speedup);
-#else
-  std::printf("\nfault p50 gate skipped: telemetry compiled out\n");
 #endif
   if (on.mag_hits == 0) {
     std::printf("  FAIL: zero magazine hits — the fast path never ran\n");

@@ -266,8 +266,8 @@ VoidResult RCursor::MapHuge(Vaddr addr, Pfn pfn, Perm perm, int level) {
   {
     PageDescriptor& head = mem.Descriptor(pfn);
     SpinGuard guard(head.rmap_lock);
-    head.owner = space_;
-    head.owner_key = addr;
+    head.owner.store(space_, std::memory_order_relaxed);
+    head.owner_key.store(addr, std::memory_order_relaxed);
   }
   return VoidResult();
 }

@@ -14,15 +14,13 @@
 namespace cortenmm {
 namespace {
 
-// Allocates an anonymous data frame destined for a mapping at |va|. The
-// allocator resets the descriptor directly to kAnon (one reset, not
-// kKernel-then-anon). The reverse-mapping hint is NOT recorded here:
-// Map/MapHuge writes owner/owner_key under the rmap lock when the frame is
-// installed, and until then the frame has mapcount 0, which excludes it from
-// every rmap consumer (the reclaim clock requires mapcount == 1).
-Result<Pfn> AllocAnonFrame(AddrSpace* space, Vaddr va, bool zeroed) {
-  (void)space;
-  (void)va;
+// Allocates an anonymous data frame. The allocator resets the descriptor
+// directly to kAnon (one reset, not kKernel-then-anon). The reverse-mapping
+// hint is NOT recorded here: Map/MapHuge writes owner/owner_key under the
+// rmap lock when the frame is installed, and until then the frame has
+// mapcount 0, which excludes it from every rmap consumer (the reclaim clock
+// requires mapcount == 1).
+Result<Pfn> AllocAnonFrame(bool zeroed) {
   BuddyAllocator& buddy = BuddyAllocator::Instance();
   return zeroed ? buddy.AllocZeroedFrame(FrameType::kAnon)
                 : buddy.AllocFrame(FrameType::kAnon);
@@ -39,6 +37,33 @@ void DropSwapRefs(RCursor& cursor, VaRange range) {
       }
     }
   });
+}
+
+// MAP_FIXED anonymous mapping of |range| inside a transaction covering it:
+// whatever was there is replaced atomically. Every PT page the replacement
+// could need is reserved *before* the destructive pass: DropSwapRefs consumes
+// block references, so it must not run while the replacement can still fail.
+// After Prepare, Mark cannot hit kNoMem.
+VoidResult MapAnonFixedLocked(RCursor& cursor, VaRange range, Perm perm) {
+  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/true);
+  if (!reserved.ok()) {
+    return reserved;
+  }
+  DropSwapRefs(cursor, range);  // Replaced swapped pages give their blocks back.
+  return cursor.Mark(range, Status::PrivateAnon(perm));
+}
+
+// Figure 8, do_syscall_munmap, inside a transaction covering |range|. The
+// boundary splits are reserved first so block references are only dropped
+// once the unmap is guaranteed to go through. The caller returns the VA to
+// the allocator after the transaction commits.
+VoidResult UnmapLocked(RCursor& cursor, VaRange range) {
+  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/false);
+  if (!reserved.ok()) {
+    return reserved;
+  }
+  DropSwapRefs(cursor, range);  // Swapped pages lose their blocks.
+  return cursor.Unmap(range);
 }
 
 }  // namespace
@@ -110,17 +135,7 @@ VoidResult VmSpace::MmapAnonAt(Vaddr va, uint64_t len, Perm perm) {
   len = AlignUp(len, kPageSize);
   VaRange range(va, va + len);
   RCursor cursor = space_.Lock(range);
-  // Reserve every PT page the replacement could need *before* the destructive
-  // pass: DropSwapRefs consumes block references, so it must not run while the
-  // replacement can still fail. After Prepare, Mark cannot hit kNoMem.
-  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/true);
-  if (!reserved.ok()) {
-    return reserved;
-  }
-  // MAP_FIXED semantics: whatever was there is replaced atomically — swapped
-  // pages being replaced give their blocks back.
-  DropSwapRefs(cursor, range);
-  return cursor.Mark(range, Status::PrivateAnon(perm));
+  return MapAnonFixedLocked(cursor, range, perm);
 }
 
 Result<Vaddr> VmSpace::MmapFilePrivate(SimFile* file, uint32_t first_page, uint64_t len,
@@ -181,16 +196,8 @@ VoidResult VmSpace::Munmap(Vaddr va, uint64_t len) {
   len = AlignUp(len, kPageSize);
   VaRange range(va, va + len);
   {
-    // Figure 8, do_syscall_munmap: one transaction, one Unmap. Reserve the
-    // boundary splits first so block references are only dropped once the
-    // unmap is guaranteed to go through.
     RCursor cursor = space_.Lock(range);
-    VoidResult reserved = cursor.Prepare(range, /*for_marks=*/false);
-    if (!reserved.ok()) {
-      return reserved;
-    }
-    DropSwapRefs(cursor, range);  // Swapped pages lose their blocks.
-    VoidResult r = cursor.Unmap(range);
+    VoidResult r = UnmapLocked(cursor, range);
     if (!r.ok()) {
       return r;
     }
@@ -246,12 +253,10 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
   switch (status.tag) {
     case StatusTag::kPrivateAnon: {
       // Demand-zero fill.
-      if ((want_write && !status.perm.write()) ||
-          (access == Access::kRead && !status.perm.read()) ||
-          (access == Access::kExec && !status.perm.exec())) {
+      if (!PermAllowsAccess(status.perm, access)) {
         return ErrCode::kFault;
       }
-      Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/true);
+      Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/true);
       if (!frame.ok()) {
         return frame.error();
       }
@@ -280,7 +285,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
           return ErrCode::kFault;
         }
         // Private write: copy the cache page into an exclusive anon frame.
-        Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+        Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/false);
         if (!frame.ok()) {
           return frame.error();
         }
@@ -322,7 +327,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
     }
 
     case StatusTag::kSwapped: {
-      Result<Pfn> frame = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+      Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/false);
       if (!frame.ok()) {
         return frame.error();
       }
@@ -358,9 +363,7 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
 // status's permissions, and nothing in it may already be mapped.
 bool VmSpace::TryHugeFaultIn(RCursor& cursor, VaRange huge_range, const Status& status,
                              Access access) {
-  if ((access == Access::kWrite && !status.perm.write()) ||
-      (access == Access::kRead && !status.perm.read()) ||
-      (access == Access::kExec && !status.perm.exec())) {
+  if (!PermAllowsAccess(status.perm, access)) {
     return false;  // Not resolvable at any page size; the 4 KiB path SEGVs.
   }
   uint64_t covered = 0;
@@ -510,7 +513,7 @@ uint64_t VmSpace::FaultAround(RCursor& cursor, Vaddr fault_va, const Status& sta
       (is_above ? above_open : below_open) = false;
       continue;
     }
-    Result<Pfn> frame = AllocAnonFrame(&space_, va, /*zeroed=*/true);
+    Result<Pfn> frame = AllocAnonFrame(/*zeroed=*/true);
     if (!frame.ok()) {
       FaultInjector::NoteSurvived();  // Speculation ends; the fault succeeded.
       break;
@@ -565,7 +568,7 @@ VoidResult VmSpace::HandleFaultLocked(RCursor& cursor, Vaddr page_va, Access acc
         return cursor.SetLeafPerm(page_va, p);
       }
       // Shared: copy into an exclusive frame.
-      Result<Pfn> copy = AllocAnonFrame(&space_, page_va, /*zeroed=*/false);
+      Result<Pfn> copy = AllocAnonFrame(/*zeroed=*/false);
       if (!copy.ok()) {
         return copy.error();
       }
@@ -580,8 +583,7 @@ VoidResult VmSpace::HandleFaultLocked(RCursor& cursor, Vaddr page_va, Access acc
     }
     // Permission check against a mapped page (e.g. a racing thread already
     // resolved this fault: simply return success and let the access retry).
-    if ((want_write && !perm.write()) || (access == Access::kExec && !perm.exec()) ||
-        (access == Access::kRead && !perm.read())) {
+    if (!PermAllowsAccess(perm, access)) {
       return ErrCode::kFault;
     }
     // Intel MPK: a protection-key violation is a SEGV (SEGV_PKUERR), not a
@@ -686,19 +688,10 @@ bool VmSpace::TryExecuteFused(const MmSqe* sqes, MmCqe* cqes, size_t n) {
       MmCqe& cqe = cqes[i];
       cqe.err = ErrCode::kOk;
       cqe.va = 0;
-      cqe.count = 0;
       VaRange range(sqe.va, sqe.va + AlignUp(sqe.len, kPageSize));
       switch (sqe.op) {
         case MmOpCode::kMmapAnonFixed: {
-          // MAP_FIXED replacement, same reserve-then-replace discipline as
-          // MmapAnonAt: after Prepare, the Mark cannot fail.
-          VoidResult reserved = cursor->Prepare(range, /*for_marks=*/true);
-          if (!reserved.ok()) {
-            cqe.err = reserved.error();
-            break;
-          }
-          DropSwapRefs(*cursor, range);
-          VoidResult r = cursor->Mark(range, Status::PrivateAnon(sqe.perm));
+          VoidResult r = MapAnonFixedLocked(*cursor, range, sqe.perm);
           if (r.ok()) {
             cqe.va = sqe.va;
           } else {
@@ -707,13 +700,7 @@ bool VmSpace::TryExecuteFused(const MmSqe* sqes, MmCqe* cqes, size_t n) {
           break;
         }
         case MmOpCode::kMunmap: {
-          VoidResult reserved = cursor->Prepare(range, /*for_marks=*/false);
-          if (!reserved.ok()) {
-            cqe.err = reserved.error();
-            break;
-          }
-          DropSwapRefs(*cursor, range);
-          VoidResult r = cursor->Unmap(range);
+          VoidResult r = UnmapLocked(*cursor, range);
           if (r.ok()) {
             deferred_frees.push_back(range);
           } else {

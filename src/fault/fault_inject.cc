@@ -33,8 +33,6 @@ const char* FaultSiteName(FaultSite site) {
   return "unknown";
 }
 
-#if CORTENMM_FAULTINJ
-
 namespace {
 
 // Per-thread injection RNG. Lazily seeded from a process-wide counter so
@@ -226,7 +224,5 @@ std::string FaultInjector::DumpJson() const {
   os << "}";
   return os.str();
 }
-
-#endif  // CORTENMM_FAULTINJ
 
 }  // namespace cortenmm

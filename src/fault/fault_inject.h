@@ -12,19 +12,14 @@
 // deterministic for single-threaded repro runs and merely bounded ("at most
 // max_injections, starting no earlier than check N+1") under concurrency.
 //
-// Mirrors the telemetry design: `-DCORTENMM_FAULTINJ=OFF` compiles every
-// probe to a constant, so release hot paths carry no branch for sites that
-// were never armed.
+// Always compiled in: an unarmed site costs one relaxed load of a global
+// flag (ShouldFail / MaybeStall below).
 #ifndef SRC_FAULT_FAULT_INJECT_H_
 #define SRC_FAULT_FAULT_INJECT_H_
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-
-#ifndef CORTENMM_FAULTINJ
-#define CORTENMM_FAULTINJ 1
-#endif
 
 namespace cortenmm {
 
@@ -61,8 +56,6 @@ struct FaultConfig {
   // Stall sites only: injected delay per hit, in CpuRelax() spins.
   uint32_t stall_spins = 0;
 };
-
-#if CORTENMM_FAULTINJ
 
 class FaultInjector {
  public:
@@ -138,34 +131,6 @@ class FaultInjector {
   std::atomic<bool> any_enabled_{false};
   SiteState sites_[static_cast<int>(FaultSite::kSiteCount)];
 };
-
-#else  // !CORTENMM_FAULTINJ
-
-// Stub: every probe folds to a constant; the optimizer erases the call sites.
-class FaultInjector {
- public:
-  static FaultInjector& Instance() {
-    static FaultInjector stub;
-    return stub;
-  }
-  void Enable(FaultSite, const FaultConfig&) {}
-  void Disable(FaultSite) {}
-  void DisableAll() {}
-  void ResetCounters() {}
-  static void SeedThread(uint64_t) {}
-  bool ShouldFail(FaultSite) { return false; }
-  void MaybeStall(FaultSite) {}
-  static void NoteSurvived() {}
-  static void NoteRolledBack() {}
-  uint64_t Checked(FaultSite) const { return 0; }
-  uint64_t Injected(FaultSite) const { return 0; }
-  uint64_t Survived(FaultSite) const { return 0; }
-  uint64_t RolledBack(FaultSite) const { return 0; }
-  uint64_t TotalInjected() const { return 0; }
-  std::string DumpJson() const { return "{}"; }
-};
-
-#endif  // CORTENMM_FAULTINJ
 
 }  // namespace cortenmm
 

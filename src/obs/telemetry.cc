@@ -166,8 +166,6 @@ uint64_t SlowNowNanos() {
 
 }  // namespace obs_detail
 
-#if CORTENMM_TELEMETRY
-
 // ---------------------------------------------------------------------------
 // LatencyHistogram
 // ---------------------------------------------------------------------------
@@ -244,18 +242,14 @@ TraceRing::~TraceRing() {
 }
 
 TraceEvent* TraceRing::AllocateBuffer(Cpu& c) {
-  uint64_t cap = Capacity();
-  TraceEvent* buf = new TraceEvent[cap];
-  c.cap = cap;
-  TraceEvent* expected = nullptr;
-  if (c.events.compare_exchange_strong(expected, buf, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-    return buf;
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  TraceEvent* buf = c.events.load(std::memory_order_acquire);
+  if (buf == nullptr) {
+    c.cap = Capacity();
+    buf = new TraceEvent[c.cap];
+    c.events.store(buf, std::memory_order_release);
   }
-  // A thread sharing this CPU id published first (same capacity — resizes
-  // are quiescent-only); use its buffer.
-  delete[] buf;
-  return expected;
+  return buf;
 }
 
 void TraceRing::SetCapacity(uint64_t capacity) {
@@ -490,8 +484,6 @@ std::string Telemetry::DumpJson(const std::string& label) const {
   return os.str();
 }
 
-#endif  // CORTENMM_TELEMETRY
-
 // ---------------------------------------------------------------------------
 // BuildConfig
 // ---------------------------------------------------------------------------
@@ -502,8 +494,6 @@ std::map<std::string, std::string>& BuildConfigMap() {
   static std::map<std::string, std::string> config = {
       {"arch", "x86_64"},
       {"protocol", "default"},
-      {"telemetry", CORTENMM_TELEMETRY ? "on" : "off"},
-      {"faultinj", CORTENMM_FAULTINJ ? "on" : "off"},
       {"page_size_policy", "4k"},
   };
   return config;
@@ -543,13 +533,9 @@ std::string BuildConfig::Json() {
 
 TelemetrySink::TelemetrySink(const std::string& bench_name, uint64_t trace_capacity)
     : bench_name_(bench_name) {
-#if CORTENMM_TELEMETRY
   if (trace_capacity > 0) {
     Telemetry::Instance().trace().SetCapacity(trace_capacity);
   }
-#else
-  (void)trace_capacity;
-#endif
 }
 
 TelemetrySink::~TelemetrySink() {
@@ -559,13 +545,9 @@ TelemetrySink::~TelemetrySink() {
 }
 
 void TelemetrySink::Snapshot(const std::string& label) {
-#if CORTENMM_TELEMETRY
   snapshots_.push_back(Telemetry::Instance().DumpJson(label));
   Telemetry::Instance().Reset();
   GlobalStats().Reset();
-#else
-  (void)label;
-#endif
 }
 
 std::string TelemetrySink::Write() {
@@ -583,9 +565,8 @@ std::string TelemetrySink::Write() {
     return "";
   }
   std::ostringstream os;
-  os << "{\"bench\":\"" << bench_name_ << "\",\"telemetry\":\""
-     << (CORTENMM_TELEMETRY ? "enabled" : "disabled")
-     << "\",\"build\":" << BuildConfig::Json() << ",\"snapshots\":[";
+  os << "{\"bench\":\"" << bench_name_ << "\",\"build\":" << BuildConfig::Json()
+     << ",\"snapshots\":[";
   for (size_t i = 0; i < snapshots_.size(); ++i) {
     if (i != 0) {
       os << ",";

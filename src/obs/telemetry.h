@@ -15,8 +15,8 @@
 //
 // Hot-path cost: timestamps use rdtsc where available (calibrated once
 // against steady_clock); recording is a relaxed fetch_add on a per-CPU cache
-// line. Building with -DCORTENMM_TELEMETRY=0 compiles every probe to a no-op
-// with zero data footprint.
+// line. Telemetry is always compiled in: the op histograms are also the
+// kernel-time source of the Figure 16/17 breakdowns (TraceResult).
 #ifndef SRC_OBS_TELEMETRY_H_
 #define SRC_OBS_TELEMETRY_H_
 
@@ -30,10 +30,6 @@
 #include <vector>
 
 #include "src/common/cpu.h"
-
-#ifndef CORTENMM_TELEMETRY
-#define CORTENMM_TELEMETRY 1
-#endif
 
 namespace cortenmm {
 
@@ -132,8 +128,6 @@ inline constexpr int kLatencyMaxOctave = 47;
 inline constexpr int kLatencyBuckets =
     kLatencySubBuckets * (kLatencyMaxOctave - kLatencySubBucketBits) +
     2 * kLatencySubBuckets;
-
-#if CORTENMM_TELEMETRY
 
 class LatencyHistogram;
 
@@ -285,11 +279,12 @@ class TraceRing {
   };
 
   // Publishes a buffer for |c| (first Record on this CPU). Two threads
-  // sharing a CPU id race benignly: CAS picks a winner, the loser frees its
-  // attempt and uses the winner's buffer.
+  // sharing a CPU id can both miss; alloc_mu_ makes the first one set |cap|
+  // and publish, and the second reuse that buffer.
   TraceEvent* AllocateBuffer(Cpu& c);
 
   std::atomic<uint64_t> capacity_{kCapacity};
+  std::mutex alloc_mu_;
   CacheAligned<Cpu> cpus_[kMaxCpus];
 };
 
@@ -407,107 +402,15 @@ class AcquireSampler {
   static thread_local uint32_t counter_;
 };
 
-#else  // !CORTENMM_TELEMETRY — every probe compiles to nothing.
-
-class LatencyHistogram;
-
-struct HistogramSnapshot {
-  void Merge(const LatencyHistogram&) {}
-  uint64_t TotalCount() const { return 0; }
-  uint64_t Percentile(double) const { return 0; }
-};
-
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = kLatencyBuckets;
-  static int BucketFor(uint64_t) { return 0; }
-  static uint64_t BucketLowerBound(int) { return 0; }
-  void Record(uint64_t) {}
-  void Reset() {}
-  uint64_t TotalCount() const { return 0; }
-  uint64_t SumNanos() const { return 0; }
-  uint64_t MaxNanos() const { return 0; }
-  uint64_t BucketCount(int) const { return 0; }
-  HistogramSnapshot Snapshot() const { return {}; }
-  uint64_t Percentile(double) const { return 0; }
-};
-
-struct TraceEvent {
-  uint64_t ns = 0;
-  uint32_t cpu = 0;
-  TraceKind kind = TraceKind::kAcquireEnd;
-  uint64_t arg0 = 0;
-  uint64_t arg1 = 0;
-};
-
-class TraceRing {
- public:
-  static constexpr uint64_t kCapacity = 0;
-  void Record(TraceKind, uint64_t, uint64_t) {}
-  uint64_t Capacity() const { return 0; }
-  void SetCapacity(uint64_t) {}
-  uint64_t Recorded() const { return 0; }
-  uint64_t Dropped() const { return 0; }
-  struct CpuStats {
-    int cpu = 0;
-    uint64_t recorded = 0;
-    uint64_t dropped = 0;
-  };
-  std::vector<CpuStats> PerCpuStats() const { return {}; }
-  std::vector<TraceEvent> MergeSorted() const { return {}; }
-  void Reset() {}
-};
-
-class Telemetry {
- public:
-  static Telemetry& Instance() {
-    static Telemetry t;
-    return t;
-  }
-  void RecordOp(MmOp, uint64_t) {}
-  void RecordPhase(LockPhase, uint64_t) {}
-  void RecordBatch(BatchStat, uint64_t) {}
-  void Trace(TraceKind, uint64_t = 0, uint64_t = 0) {}
-  HistogramSnapshot MergedOp(MmOp) const { return {}; }
-  HistogramSnapshot MergedPhase(LockPhase) const { return {}; }
-  HistogramSnapshot MergedBatch(BatchStat) const { return {}; }
-  TraceRing& trace() { return trace_; }
-  void Reset() {}
-  void AddJsonSection(const std::string&, std::function<std::string()>) {}
-  std::string DumpJson(const std::string&) const { return "{}"; }
-
- private:
-  TraceRing trace_;
-};
-
-class ScopedOpTimer {
- public:
-  explicit ScopedOpTimer(MmOp) {}
-};
-
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(LockPhase, bool = true) {}
-};
-
-class AcquireSampler {
- public:
-  static constexpr uint32_t kEvery = 32;
-  static bool Sample() { return false; }
-};
-
-#endif  // CORTENMM_TELEMETRY
-
 // The build/run configuration block stamped into every telemetry document:
-// compile-time flags (telemetry, fault injection) are pre-populated; run-
-// dependent keys (arch, protocol, page_size_policy) default conservatively
-// and benches override them via Set. Keys emit in sorted order so documents
-// diff cleanly across runs.
+// run-dependent keys (arch, protocol, page_size_policy) default
+// conservatively and benches override them via Set. Keys emit in sorted
+// order so documents diff cleanly across runs.
 class BuildConfig {
  public:
   static void Set(const std::string& key, const std::string& value);
   // The whole block as a JSON object, e.g.
-  // {"arch":"x86_64","faultinj":"on","page_size_policy":"4k",...}.
+  // {"arch":"x86_64","page_size_policy":"4k","protocol":"default"}.
   static std::string Json();
 };
 
@@ -515,9 +418,8 @@ class BuildConfig {
 // document, so every bench emits a machine-readable BENCH_<name>.json next to
 // its stdout tables. The output path defaults to BENCH_<name>.json in the
 // working directory; the CORTENMM_TELEMETRY_JSON environment variable
-// overrides it. With telemetry compiled out the file records only
-// {"telemetry": "disabled"}. Every document carries the BuildConfig block so
-// a result can never be mistaken for one produced under different flags.
+// overrides it. Every document carries the BuildConfig block so a result can
+// never be mistaken for one produced under a different configuration.
 class TelemetrySink {
  public:
   // |trace_capacity| > 0 resizes the per-CPU trace rings for the bench's

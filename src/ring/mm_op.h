@@ -6,10 +6,9 @@
 // owning pointers, trivially copyable — so ring slots can be reused without
 // destructor traffic and the combiner can batch-copy groups for fusion.
 //
-// This header depends only on common/ (plus the SimFile forward declaration
-// the facade already uses), so both the facade and the core layer can speak
-// MmSqe without a dependency cycle: the ring machinery itself lives in
-// mm_ring.h and never includes core or sim headers.
+// This header depends only on common/, so both the facade and the core layer
+// can speak MmSqe without a dependency cycle: the ring machinery itself lives
+// in mm_ring.h and never includes core or sim headers.
 #ifndef SRC_RING_MM_OP_H_
 #define SRC_RING_MM_OP_H_
 
@@ -20,11 +19,9 @@
 
 namespace cortenmm {
 
-class SimFile;
-
-// One opcode per facade entry point that makes sense to queue. Fork is
-// excluded: it returns a new manager, which a fixed-size completion cannot
-// carry, and no storm workload issues fork at ring rates.
+// The queued subset of the facade: the four fusable ops plus allocator-placed
+// mmap. Other entry points (file mappings, msync, pkeys, swap-out, fork) are
+// synchronous only.
 enum class MmOpCode : uint8_t {
   kNop = 0,         // Completes immediately with kOk; useful for ring tests.
   kMmapAnon,        // len, perm; allocator-chosen address -> cqe.va.
@@ -32,11 +29,6 @@ enum class MmOpCode : uint8_t {
   kMunmap,          // va, len.
   kMprotect,        // va, len, perm.
   kFault,           // va, access (software-delivered page fault).
-  kMmapFilePrivate, // file, first_page, len, perm -> cqe.va.
-  kMmapShared,      // file, first_page, len, perm -> cqe.va.
-  kMsync,           // va, len.
-  kPkeyMprotect,    // va, len, pkey.
-  kSwapOut,         // va, len -> cqe.count = pages evicted.
 };
 
 const char* MmOpCodeName(MmOpCode op);
@@ -48,11 +40,8 @@ struct MmSqe {
   MmOpCode op = MmOpCode::kNop;
   Perm perm{};
   Access access = Access::kRead;
-  int32_t pkey = 0;
   Vaddr va = 0;
   uint64_t len = 0;
-  SimFile* file = nullptr;
-  uint32_t first_page = 0;
   uint64_t user_data = 0;
 };
 
@@ -60,14 +49,13 @@ struct MmSqe {
 struct MmCqe {
   uint64_t user_data = 0;
   ErrCode err = ErrCode::kOk;
-  Vaddr va = 0;        // Address-producing ops: where the mapping landed.
-  uint64_t count = 0;  // kSwapOut: pages evicted.
+  Vaddr va = 0;  // Address-producing ops: where the mapping landed.
 };
 
 // Ops the drain may fuse into one transaction: they carry an explicit
 // page-aligned target range, so the combiner can compute a bounding lock
-// range up front. Address-allocating and file-backed ops stay unfused (their
-// effective range is unknown or their side effects span other subsystems).
+// range up front. Allocator-placed mmap stays unfused: its effective range is
+// unknown until the VA allocator picks it.
 inline bool IsFusableOp(MmOpCode op) {
   switch (op) {
     case MmOpCode::kMmapAnonFixed:

@@ -23,16 +23,6 @@ const char* MmOpCodeName(MmOpCode op) {
       return "mprotect";
     case MmOpCode::kFault:
       return "fault";
-    case MmOpCode::kMmapFilePrivate:
-      return "mmap_file_private";
-    case MmOpCode::kMmapShared:
-      return "mmap_shared";
-    case MmOpCode::kMsync:
-      return "msync";
-    case MmOpCode::kPkeyMprotect:
-      return "pkey_mprotect";
-    case MmOpCode::kSwapOut:
-      return "swap_out";
   }
   return "unknown";
 }

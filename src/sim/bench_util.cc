@@ -180,90 +180,6 @@ double RunParallel(int threads, const std::function<void(int)>& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// TimingMm
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class ScopedNanos {
- public:
-  explicit ScopedNanos(std::atomic<uint64_t>* sink)
-      : sink_(sink), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedNanos() {
-    auto t1 = std::chrono::steady_clock::now();
-    sink_->fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0_).count(),
-        std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t>* sink_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-}  // namespace
-
-Result<Vaddr> TimingMm::MmapAnon(const MmapArgs& args) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapAnon(args);
-}
-
-void TimingMm::ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  inner_->ExecuteBatch(sqes, cqes, n);
-}
-
-VoidResult TimingMm::Munmap(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Munmap(va, len);
-}
-
-VoidResult TimingMm::Mprotect(Vaddr va, uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Mprotect(va, len, perm);
-}
-
-VoidResult TimingMm::HandleFault(Vaddr va, Access access) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->HandleFault(va, access);
-}
-
-Result<Vaddr> TimingMm::MmapFilePrivate(SimFile* file, uint32_t first_page,
-                                        uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapFilePrivate(file, first_page, len, perm);
-}
-
-Result<Vaddr> TimingMm::MmapShared(SimFile* object, uint32_t first_page,
-                                   uint64_t len, Perm perm) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->MmapShared(object, first_page, len, perm);
-}
-
-VoidResult TimingMm::Msync(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->Msync(va, len);
-}
-
-VoidResult TimingMm::PkeyMprotect(Vaddr va, uint64_t len, int pkey) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->PkeyMprotect(va, len, pkey);
-}
-
-Result<uint64_t> TimingMm::SwapOut(Vaddr va, uint64_t len) {
-  ScopedNanos timer(&nanos_[CurrentCpu()].value);
-  return inner_->SwapOut(va, len);
-}
-
-uint64_t TimingMm::KernelNanos() const {
-  uint64_t total = 0;
-  for (int cpu = 0; cpu < kMaxCpus; ++cpu) {
-    total += nanos_[cpu].value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 // Shared benchmark harness: the MM factory (every system under test behind
 // one switch), a phased multithreaded runner with barrier-synchronized timed
-// sections, a timing decorator that separates "kernel" (MM) time from "user"
-// (compute) time for the paper's breakdown plots, and table formatting.
+// sections, and table formatting.
 #ifndef SRC_SIM_BENCH_UTIL_H_
 #define SRC_SIM_BENCH_UTIL_H_
 
@@ -78,52 +77,6 @@ double RunPhased(const PhasedSpec& spec);
 // Runs |fn(thread)| on |threads| threads bound to CPUs 0..threads-1 and
 // returns the wall time in seconds.
 double RunParallel(int threads, const std::function<void(int)>& fn);
-
-// ---------------------------------------------------------------------------
-// Kernel/user time split
-// ---------------------------------------------------------------------------
-
-// Wraps an MmInterface, accumulating the time spent inside MM entry points —
-// the "kernel time" of the paper's Figure 16/17 breakdowns.
-class TimingMm final : public MmInterface {
- public:
-  explicit TimingMm(MmInterface* inner) : inner_(inner) {}
-
-  const char* name() const override { return inner_->name(); }
-  Asid asid() const override { return inner_->asid(); }
-  PageTable& PageTableFor(CpuId cpu) override { return inner_->PageTableFor(cpu); }
-  void NoteCpuActive(CpuId cpu) override { inner_->NoteCpuActive(cpu); }
-  bool demand_paging() const override { return inner_->demand_paging(); }
-  uint64_t PtBytes() override { return inner_->PtBytes(); }
-  uint64_t MetaBytes() override { return inner_->MetaBytes(); }
-
-  uint32_t Pkru() const override { return inner_->Pkru(); }
-
-  using MmInterface::MmapAnon;
-  Result<Vaddr> MmapAnon(const MmapArgs& args) override;
-  VoidResult Munmap(Vaddr va, uint64_t len) override;
-  VoidResult Mprotect(Vaddr va, uint64_t len, Perm perm) override;
-  VoidResult HandleFault(Vaddr va, Access access) override;
-  Result<Vaddr> MmapFilePrivate(SimFile* file, uint32_t first_page, uint64_t len,
-                                Perm perm) override;
-  Result<Vaddr> MmapShared(SimFile* object, uint32_t first_page, uint64_t len,
-                           Perm perm) override;
-  VoidResult Msync(Vaddr va, uint64_t len) override;
-  VoidResult PkeyMprotect(Vaddr va, uint64_t len, int pkey) override;
-  Result<uint64_t> SwapOut(Vaddr va, uint64_t len) override;
-  // Note: the forked child is the inner manager's child, untimed.
-  std::unique_ptr<MmInterface> Fork() override { return inner_->Fork(); }
-  // Ring batches execute through the inner manager's fused path (if any);
-  // the wrapper times the batch as one kernel entry.
-  void ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) override;
-
-  // Total nanoseconds spent in MM entry points, across all threads.
-  uint64_t KernelNanos() const;
-
- private:
-  MmInterface* inner_;
-  CacheAligned<std::atomic<uint64_t>> nanos_[kMaxCpus];
-};
 
 // ---------------------------------------------------------------------------
 // Output formatting

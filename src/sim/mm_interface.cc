@@ -33,7 +33,6 @@ void MmInterface::ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) {
     MmCqe& cqe = cqes[i];
     cqe.err = ErrCode::kOk;
     cqe.va = 0;
-    cqe.count = 0;
     switch (sqe.op) {
       case MmOpCode::kNop:
         break;
@@ -71,43 +70,6 @@ void MmInterface::ExecuteBatch(const MmSqe* sqes, MmCqe* cqes, size_t n) {
       case MmOpCode::kFault: {
         VoidResult r = HandleFault(sqe.va, sqe.access);
         if (!r.ok()) cqe.err = r.error();
-        break;
-      }
-      case MmOpCode::kMmapFilePrivate: {
-        Result<Vaddr> r = MmapFilePrivate(sqe.file, sqe.first_page, sqe.len, sqe.perm);
-        if (r.ok()) {
-          cqe.va = r.value();
-        } else {
-          cqe.err = r.error();
-        }
-        break;
-      }
-      case MmOpCode::kMmapShared: {
-        Result<Vaddr> r = MmapShared(sqe.file, sqe.first_page, sqe.len, sqe.perm);
-        if (r.ok()) {
-          cqe.va = r.value();
-        } else {
-          cqe.err = r.error();
-        }
-        break;
-      }
-      case MmOpCode::kMsync: {
-        VoidResult r = Msync(sqe.va, sqe.len);
-        if (!r.ok()) cqe.err = r.error();
-        break;
-      }
-      case MmOpCode::kPkeyMprotect: {
-        VoidResult r = PkeyMprotect(sqe.va, sqe.len, sqe.pkey);
-        if (!r.ok()) cqe.err = r.error();
-        break;
-      }
-      case MmOpCode::kSwapOut: {
-        Result<uint64_t> r = SwapOut(sqe.va, sqe.len);
-        if (r.ok()) {
-          cqe.count = r.value();
-        } else {
-          cqe.err = r.error();
-        }
         break;
       }
     }

@@ -35,18 +35,6 @@ bool PkruAllows(uint32_t pkru, int pkey, AccessKind access) {
   return !(access == AccessKind::kWrite && (bits & 2));
 }
 
-bool PermAllows(Perm perm, AccessKind access) {
-  switch (access) {
-    case AccessKind::kRead:
-      return perm.read();
-    case AccessKind::kWrite:
-      return perm.write();
-    case AccessKind::kExec:
-      return perm.exec();
-  }
-  return false;
-}
-
 // Performs the data access against the simulated physical frame. Guest
 // application threads may race on guest memory exactly as real programs race
 // on RAM; relaxed atomic accesses give that the same semantics without being
@@ -104,7 +92,7 @@ VoidResult MmuSim::Access(MmInterface& mm, Vaddr va, AccessKind access, uint64_t
     if (auto entry = tlb.Lookup(mm.asid(), va)) {
       Pte pte(entry->pte_raw);
       Perm perm = PtePerm(arch, pte);
-      if (PermAllows(perm, access) &&
+      if (PermAllowsAccess(perm, access) &&
           PkruAllows(mm.Pkru(), PtePkey(arch, pte), access)) {
         Vaddr leaf_base = AlignDown(va, PtEntrySpan(entry->level));
         Pfn pfn = PtePfn(arch, pte) + ((va - leaf_base) >> kPageBits);
@@ -123,7 +111,7 @@ VoidResult MmuSim::Access(MmInterface& mm, Vaddr va, AccessKind access, uint64_t
     PageTable::WalkResult walk = pt.Walk(va);
     if (walk.present) {
       Perm perm = PtePerm(arch, walk.pte);
-      if (PermAllows(perm, access) &&
+      if (PermAllowsAccess(perm, access) &&
           PkruAllows(mm.Pkru(), PtePkey(arch, walk.pte), access)) {
         // Set accessed/dirty the way the walker would. A CAS failure means a
         // racing kernel update; just proceed (the walk below retries anyway).

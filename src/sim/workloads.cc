@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/common/rng.h"
+#include "src/obs/telemetry.h"
 #include "src/sim/mmu.h"
 #include "src/sync/spinlock.h"
 
@@ -266,6 +267,25 @@ class UserAllocator {
   CacheAligned<Cache> caches_[kMaxCpus];
 };
 
+// Nanoseconds spent so far inside MM entry points, on every CPU: the sum of
+// the op histograms every backend records through ScopedOpTimer.
+uint64_t MmEntryNanos() {
+  uint64_t total = 0;
+  for (int op = 0; op < static_cast<int>(MmOp::kCount); ++op) {
+    total += Telemetry::Instance().MergedOp(static_cast<MmOp>(op)).sum_ns;
+  }
+  return total;
+}
+
+// Runs |fn| on |threads| workers (RunParallel) and records the phase's wall
+// time and its kernel time — the growth of MmEntryNanos over the phase, the
+// "kernel" side of the Figure 16/17 breakdowns.
+void RunTraced(TraceResult& result, int threads, const std::function<void(int)>& fn) {
+  uint64_t before = MmEntryNanos();
+  result.seconds = RunParallel(threads, fn);
+  result.kernel_seconds = static_cast<double>(MmEntryNanos() - before) * 1e-9;
+}
+
 // A touch-write then touch-read pass over a buffer through the MMU.
 void UseBuffer(MmInterface& mm, Vaddr va, uint64_t bytes) {
   MmuSim::TouchRange(mm, va, bytes, /*write=*/true);
@@ -314,15 +334,15 @@ TraceResult RunJvmThreadCreation(MmKind kind, int nthreads) {
 
 namespace {
 TraceResult RunJvmThreadCreationOnce(MmKind kind, int nthreads) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
   TraceResult result;
   result.work_units = nthreads;
 
   constexpr uint64_t kStackBytes = 1ull << 20;  // 1 MiB Java thread stack.
   constexpr uint64_t kTlsBytes = 64 * 1024;
   constexpr int kWaves = 8;  // Each core starts several Java threads in turn.
-  result.seconds = RunParallel(nthreads, [&mm](int t) {
+  RunTraced(result, nthreads, [&mm](int t) {
     for (int wave = 0; wave < kWaves; ++wave) {
       // A Java thread start: stack mapping + first-touch faults on the hot
       // top pages + TLS segment. This is exactly the pattern the paper's
@@ -341,7 +361,6 @@ TraceResult RunJvmThreadCreationOnce(MmKind kind, int nthreads) {
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
   return result;
 }
 }  // namespace
@@ -356,15 +375,15 @@ TraceResult RunMetis(MmKind kind, int threads, int chunks_per_thread) {
 
 namespace {
 TraceResult RunMetisOnce(MmKind kind, int threads, int chunks_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
   TraceResult result;
 
   constexpr uint64_t kChunkBytes = 8ull << 20;  // 8 MiB, as in the RadixVM setup.
   result.work_units =
       static_cast<uint64_t>(threads) * chunks_per_thread * (kChunkBytes >> kPageBits);
 
-  result.seconds = RunParallel(threads, [&mm, chunks_per_thread](int t) {
+  RunTraced(result, threads, [&mm, chunks_per_thread](int t) {
     for (int c = 0; c < chunks_per_thread; ++c) {
       // Allocate an 8 MiB chunk and never return it (the paper's setup).
       Result<Vaddr> chunk = mm.MmapAnon(kChunkBytes, Perm::RW());
@@ -378,7 +397,6 @@ TraceResult RunMetisOnce(MmKind kind, int threads, int chunks_per_thread) {
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
   return result;
 }
 }  // namespace
@@ -393,8 +411,8 @@ TraceResult RunDedup(MmKind kind, AllocModel model, int threads, int items_per_t
 
 namespace {
 TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads, int items_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
   TraceResult result;
   result.work_units = static_cast<uint64_t>(threads) * items_per_thread;
 
@@ -402,7 +420,7 @@ TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads, int items_p
   SpinLock pipeline_lock;
   uint64_t pipeline_counter = 0;
 
-  result.seconds = RunParallel(threads, [&](int t) {
+  RunTraced(result, threads, [&](int t) {
     for (int i = 0; i < items_per_thread; ++i) {
       // Chunk sizes vary (dedup chunks do): ptmalloc returns each to the OS;
       // tcmalloc retains one span per size class per core — the memory
@@ -422,7 +440,6 @@ TraceResult RunDedupOnce(MmKind kind, AllocModel model, int threads, int items_p
     }
   });
   (void)pipeline_counter;
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
   result.peak_os_bytes = allocator.peak_os_bytes();
   return result;
 }
@@ -440,13 +457,13 @@ TraceResult RunPsearchy(MmKind kind, AllocModel model, int threads, int files_pe
 namespace {
 TraceResult RunPsearchyOnce(MmKind kind, AllocModel model, int threads,
                             int files_per_thread) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
   TraceResult result;
   result.work_units = static_cast<uint64_t>(threads) * files_per_thread;
 
   UserAllocator allocator(mm, model);
-  result.seconds = RunParallel(threads, [&](int t) {
+  RunTraced(result, threads, [&](int t) {
     // Per-core index buffer that doubles as it fills (the BDB-style index).
     uint64_t index_bytes = 256 * 1024;
     Vaddr index = allocator.Malloc(index_bytes);
@@ -474,7 +491,6 @@ TraceResult RunPsearchyOnce(MmKind kind, AllocModel model, int threads,
     }
     allocator.Free(index, index_bytes);
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
   result.peak_os_bytes = allocator.peak_os_bytes();
   return result;
 }
@@ -529,14 +545,14 @@ TraceResult RunParsecLike(MmKind kind, const std::string& app, int threads) {
 
 namespace {
 TraceResult RunParsecLikeOnce(MmKind kind, const std::string& app, int threads) {
-  std::unique_ptr<MmInterface> inner = MakeMm(kind);
-  TimingMm mm(inner.get());
+  std::unique_ptr<MmInterface> owner = MakeMm(kind);
+  MmInterface& mm = *owner;
   ParsecParams params = ParamsFor(app);
   TraceResult result;
   uint64_t pages = params.ws_bytes >> kPageBits;
   result.work_units = static_cast<uint64_t>(threads) * params.rounds * pages;
 
-  result.seconds = RunParallel(threads, [&](int t) {
+  RunTraced(result, threads, [&](int t) {
     Result<Vaddr> ws = mm.MmapAnon(params.ws_bytes, Perm::RW());
     assert(ws.ok());
     MmuSim::TouchRange(mm, *ws, params.ws_bytes, true);  // One-time init.
@@ -552,7 +568,6 @@ TraceResult RunParsecLikeOnce(MmKind kind, const std::string& app, int threads) 
       }
     }
   });
-  result.kernel_seconds = static_cast<double>(mm.KernelNanos()) * 1e-9;
   return result;
 }
 }  // namespace

@@ -60,7 +60,8 @@ const char* AllocModelName(AllocModel model);
 
 struct TraceResult {
   double seconds = 0;         // Wall time of the traced phase.
-  double kernel_seconds = 0;  // Time inside MM entry points (TimingMm).
+  double kernel_seconds = 0;  // Time inside MM entry points, all threads
+                              // summed (the MmOp histograms' growth).
   uint64_t work_units = 0;    // Workload-specific unit (pages, items, files).
   uint64_t peak_os_bytes = 0; // Allocator-model OS footprint peak (fig 18).
 

@@ -27,8 +27,6 @@
 namespace cortenmm {
 namespace {
 
-#if CORTENMM_FAULTINJ
-
 enum class ChaosSchedule {
   kNoMem,        // 2% of buddy allocations fail.
   kNoMemBurst,   // Allocations 201..264 (site-globally) fail, then recover.
@@ -480,14 +478,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-#else  // !CORTENMM_FAULTINJ
-
-TEST(ChaosTest, CompiledOut) {
-  GTEST_SKIP() << "built with -DCORTENMM_FAULTINJ=OFF";
-}
-
-#endif  // CORTENMM_FAULTINJ
 
 }  // namespace
 }  // namespace cortenmm

@@ -9,7 +9,10 @@
 
 #include "src/core/backing.h"
 #include "src/fault/fault_inject.h"
+#include "src/obs/telemetry.h"
 #include "src/sim/bench_util.h"
+#include "src/sim/mmu.h"
+#include "src/sim/workloads.h"
 
 namespace cortenmm {
 namespace {
@@ -171,8 +174,6 @@ TEST_P(FacadeConformanceTest, FaultErrCodeContract) {
   EXPECT_EQ(stale.error(), ErrCode::kFault);
 }
 
-#if CORTENMM_FAULTINJ
-
 // Disarms the injector even when an EXPECT fails mid-test.
 struct ScopedInjection {
   ~ScopedInjection() {
@@ -246,19 +247,62 @@ TEST_P(FacadeConformanceTest, NoMemSurfacesAsErrorNotCrash) {
   EXPECT_TRUE(mm->Munmap(*a, kLen).ok());
 }
 
-#endif  // CORTENMM_FAULTINJ
+std::string KindTestName(const ::testing::TestParamInfo<MmKind>& info) {
+  std::string name = MmKindName(info.param);
+  std::erase(name, '+');
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
 
 INSTANTIATE_TEST_SUITE_P(AllManagers, FacadeConformanceTest,
-                         ::testing::ValuesIn(ComparisonSet()),
-                         [](const ::testing::TestParamInfo<MmKind>& info) {
-                           std::string name = MmKindName(info.param);
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ::testing::ValuesIn(ComparisonSet()), KindTestName);
+
+// The Figure 16/17 kernel time is the growth of the MmOp histograms over a
+// traced phase, so every manager MakeMm builds must record each facade call
+// exactly once — nested delegation inside a backend must not double-count.
+class OpHistogramTest : public ::testing::TestWithParam<MmKind> {};
+
+uint64_t OpSamples(MmOp op) {
+  return Telemetry::Instance().MergedOp(op).TotalCount();
+}
+
+TEST_P(OpHistogramTest, EachFacadeCallAddsOneSample) {
+  std::unique_ptr<MmInterface> mm = MakeMm(GetParam());
+  // NrOS maps eagerly, so only a permission violation reaches its fault
+  // handler; the demand-paged managers take the upcall on first touch.
+  bool demand = mm->demand_paging();
+
+  uint64_t mmaps = OpSamples(MmOp::kMmap);
+  Result<Vaddr> va = mm->MmapAnon(kPageSize, demand ? Perm::RW() : Perm::R());
+  ASSERT_TRUE(va.ok());
+  EXPECT_EQ(OpSamples(MmOp::kMmap), mmaps + 1);
+
+  uint64_t faults = OpSamples(MmOp::kFault);
+  EXPECT_EQ(MmuSim::Write(*mm, *va, 1).ok(), demand);
+  EXPECT_EQ(OpSamples(MmOp::kFault), faults + 1);
+
+  uint64_t munmaps = OpSamples(MmOp::kMunmap);
+  ASSERT_TRUE(mm->Munmap(*va, kPageSize).ok());
+  EXPECT_EQ(OpSamples(MmOp::kMunmap), munmaps + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKind, OpHistogramTest,
+    ::testing::Values(MmKind::kCortenAdv, MmKind::kCortenRw, MmKind::kLinux,
+                      MmKind::kRadixVm, MmKind::kNros, MmKind::kCortenAdvVpa,
+                      MmKind::kCortenAdvBase),
+    KindTestName);
+
+TEST(TraceKernelTimeTest, JvmKernelTimeIsWithinThreadTime) {
+  constexpr int kThreads = 2;
+  TraceResult r = RunJvmThreadCreation(MmKind::kCortenAdv, kThreads);
+  EXPECT_GT(r.kernel_seconds, 0.0);
+  EXPECT_LE(r.kernel_seconds, r.seconds * kThreads);
+}
 
 }  // namespace
 }  // namespace cortenmm

@@ -154,7 +154,6 @@ TEST_P(HugePageTest, SwapOutForcesSplitAndSwapInRestores) {
   EXPECT_EQ(mm.vm().ResidentPages(), 1ull << kHugeOrder);
 }
 
-#if CORTENMM_FAULTINJ
 TEST_P(HugePageTest, AllocFailureFallsBackTo4K) {
   CortenVm mm(HugeOptions(GetParam()));
   Result<Vaddr> va = mm.MmapAnon(kHugePageSize, Perm::RW());
@@ -178,7 +177,6 @@ TEST_P(HugePageTest, AllocFailureFallsBackTo4K) {
   ASSERT_TRUE(status.mapped());
   EXPECT_EQ(status.level, 1);
 }
-#endif  // CORTENMM_FAULTINJ
 
 INSTANTIATE_TEST_SUITE_P(Protocols, HugePageTest,
                          ::testing::Values(Protocol::kAdv, Protocol::kRw),

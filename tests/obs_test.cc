@@ -1,6 +1,5 @@
 // Unit tests of the observability layer: histogram bucketing and merging,
-// percentile math, trace-ring wraparound accounting, name tables, and the
-// telemetry-off no-op surface.
+// percentile math, trace-ring wraparound accounting and name tables.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +12,6 @@
 
 namespace cortenmm {
 namespace {
-
-#if CORTENMM_TELEMETRY
 
 TEST(LatencyHistogramTest, BucketBoundaries) {
   // Log-linear buckets: values below kLatencySubBuckets are exact, above
@@ -248,26 +245,6 @@ TEST(TelemetryClockTest, MonotonicNonZeroProgress) {
   uint64_t b = TelemetryNowNanos();
   EXPECT_LE(a, b);
 }
-
-#else  // !CORTENMM_TELEMETRY
-
-TEST(TelemetryDisabledTest, EverythingIsANoOp) {
-  Telemetry& t = Telemetry::Instance();
-  t.RecordOp(MmOp::kMmap, 100);
-  t.RecordPhase(LockPhase::kMcsAcquire, 50);
-  t.Trace(TraceKind::kAcquireEnd, 1, 2);
-  EXPECT_EQ(t.MergedOp(MmOp::kMmap).TotalCount(), 0u);
-  EXPECT_EQ(t.MergedPhase(LockPhase::kMcsAcquire).TotalCount(), 0u);
-  EXPECT_EQ(t.trace().Recorded(), 0u);
-  EXPECT_EQ(t.DumpJson("x"), "{}");
-  {
-    ScopedOpTimer op(MmOp::kMmap);
-    ScopedPhaseTimer phase(LockPhase::kRwDescent);
-  }
-  EXPECT_EQ(t.MergedOp(MmOp::kMmap).TotalCount(), 0u);
-}
-
-#endif  // CORTENMM_TELEMETRY
 
 TEST(NameTableTest, EveryMmOpHasAName) {
   for (int i = 0; i < static_cast<int>(MmOp::kCount); ++i) {

@@ -353,8 +353,6 @@ TEST(FusedBatchTest, DeferredFreeVaFlushesAtThreshold) {
   EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 0u);
 }
 
-#if CORTENMM_FAULTINJ
-
 // Satellite: SwapOut of a 2 MiB huge run must split the leaf and stop
 // cleanly — no stranded frames, no leaked swap blocks — when the swap-device
 // write site fires mid-eviction.
@@ -498,8 +496,6 @@ TEST_F(ReclaimTest, ReclaimRacesMutatorsUnderFaultInjection) {
                         << leaks.baseline_free << ", now "
                         << leaks.current_free << ")";
 }
-
-#endif  // CORTENMM_FAULTINJ
 
 }  // namespace
 }  // namespace cortenmm

@@ -37,8 +37,8 @@ TEST(ReverseMappingTest, AnonFrameRecordsOwnerSpaceAndVa) {
   ASSERT_TRUE(status.mapped());
   PageDescriptor& desc = PhysMem::Instance().Descriptor(status.pfn);
   SpinGuard guard(desc.rmap_lock);
-  EXPECT_EQ(desc.owner, &mm.vm().addr_space());
-  EXPECT_EQ(desc.owner_key, *va);
+  EXPECT_EQ(desc.owner.load(), &mm.vm().addr_space());
+  EXPECT_EQ(desc.owner_key.load(), *va);
   EXPECT_EQ(desc.type.load(), FrameType::kAnon);
 }
 
@@ -48,8 +48,8 @@ TEST(ReverseMappingTest, FilePagesRecordFileAndIndex) {
   ASSERT_TRUE(page.ok());
   PageDescriptor& desc = PhysMem::Instance().Descriptor(*page);
   SpinGuard guard(desc.rmap_lock);
-  EXPECT_EQ(desc.owner, file);
-  EXPECT_EQ(desc.owner_key, 2u);
+  EXPECT_EQ(desc.owner.load(), file);
+  EXPECT_EQ(desc.owner_key.load(), 2u);
   EXPECT_EQ(desc.type.load(), FrameType::kFileCache);
 }
 
