@@ -6,7 +6,8 @@
 //   * fault count — 16384 4 KiB demand fills collapse into 32 huge faults,
 //     so the reduction is ~512x; >=8x is the regression gate.
 //   * gathered shootdown ranges — unmapping the region gathers one range per
-//     cleared leaf before coalescing: 32 with huge leaves vs 16384 without.
+//     run of contiguous cleared leaves in each PT page before coalescing:
+//     one for the 32 huge leaves vs 32 (one per leaf PT page) without.
 //     The gate requires strictly fewer.
 //   * simulated-TLB miss rate on a steady-state second pass — one TLB entry
 //     covers 512 base pages, so the huge run must miss less.

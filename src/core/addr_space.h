@@ -200,6 +200,11 @@ class RCursor {
 
   void AdvUnlockAndForget(Pfn pfn);
   void NoteLocked(Pfn pfn, int level);
+  // Clears the leaf at (pt_page, index), drops its frames' mapcounts and
+  // queues them for release after the shootdown. Returns the frames it
+  // spanned; the present count, resident pages and flush are the caller's.
+  uint64_t DetachLeaf(Pfn pt_page, int level, uint64_t index);
+  // DetachLeaf plus that bookkeeping, for a single leaf.
   void ClearLeaf(Pfn pt_page, int level, uint64_t index, Vaddr va);
   // Records a mutated sub-range for the destructor's shootdown. The gather
   // keeps discrete ranges (coalescing neighbors) instead of one bounding box,

@@ -22,6 +22,25 @@ namespace {
 // Frames spanned by a leaf entry at |level|.
 uint64_t LeafFrames(int level) { return PtEntrySpan(level) >> kPageBits; }
 
+// True when PT page |pfn| holds nothing: no present entry (leaf or table) and
+// no metadata mark. O(1) unless it has a meta array, then one 512-tag scan.
+bool PtPageIsEmpty(Pfn pfn) {
+  PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
+  if (desc.present_ptes.load(std::memory_order_relaxed) != 0) {
+    return false;
+  }
+  const PteMetaArray* meta = desc.meta.load(std::memory_order_acquire);
+  if (meta == nullptr) {
+    return true;
+  }
+  for (const PteMeta& entry : meta->entries) {
+    if (!entry.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -167,24 +186,29 @@ VoidResult RCursor::PrepareSlow(VaRange sub, bool for_marks) {
   return ReserveIn(covering_, covering_level_, covering_base, sub, for_marks);
 }
 
-void RCursor::ClearLeaf(Pfn pt_page, int level, uint64_t index, Vaddr va) {
+uint64_t RCursor::DetachLeaf(Pfn pt_page, int level, uint64_t index) {
   PageTable& pt = space_->page_table();
   PhysMem& mem = PhysMem::Instance();
   Pte pte = pt.LoadEntry(pt_page, index);
   assert(PteIsPresent(pt.arch(), pte) && PteIsLeaf(pt.arch(), pte, level));
   Pfn head = PtePfn(pt.arch(), pte);
   pt.StoreEntry(pt_page, index, kNullPte);
-  mem.Descriptor(pt_page).present_ptes.fetch_sub(1, std::memory_order_relaxed);
   uint64_t frames = LeafFrames(level);
   for (uint64_t f = 0; f < frames; ++f) {
     mem.Descriptor(head + f).mapcount.fetch_sub(1, std::memory_order_acq_rel);
   }
-  space_->AddResidentPages(-static_cast<int64_t>(frames));
   // The references are dropped only after the TLB shootdown completes — and
   // the whole leaf is ONE gathered record whatever its order, so a 2 MiB
   // unmap costs one dead-run entry, not 512.
   gather_.AddRun(PageRun(head, static_cast<uint8_t>(kPteIndexBits * (level - 1))));
   pages_touched_ += frames;
+  return frames;
+}
+
+void RCursor::ClearLeaf(Pfn pt_page, int level, uint64_t index, Vaddr va) {
+  uint64_t frames = DetachLeaf(pt_page, level, index);
+  PhysMem::Instance().Descriptor(pt_page).present_ptes.fetch_sub(1, std::memory_order_relaxed);
+  space_->AddResidentPages(-static_cast<int64_t>(frames));
   NoteFlush(VaRange(va, va + PtEntrySpan(level)));
 }
 
@@ -312,7 +336,6 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
     if (!PteIsPresent(arch, pte)) {
       continue;
     }
-    ++present;
     if (PteIsLeaf(arch, pte, level)) {
       Pfn head = PtePfn(arch, pte);
       Perm perm = PtePerm(arch, pte);
@@ -331,6 +354,7 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
         }
       }
       child_pt.StoreEntry(child_page, i, MakeLeafPte(arch, head, child_perm, level));
+      ++present;
       for (uint64_t f = 0; f < frames; ++f) {
         AddFrameRef(head + f);
         mem.Descriptor(head + f).mapcount.fetch_add(1, std::memory_order_acq_rel);
@@ -338,18 +362,25 @@ VoidResult RCursor::CloneSubtree(RCursor& child, Pfn parent_page, Pfn child_page
       child.space_->AddResidentPages(static_cast<int64_t>(frames));
       continue;
     }
-    // Table entry: allocate the child's counterpart (born locked in the
-    // child's cursor) and recurse. On failure the present count accumulated
-    // so far must still be persisted — the caller tears the partial clone
-    // down through the normal unmap path, which decrements it per slot.
+    // Table entry. An empty table (one munmap left behind: no present entry,
+    // no mark) has nothing to carry, so the child gets no copy of it.
+    Pfn parent_table = PtePfn(arch, pte);
+    if (PtPageIsEmpty(parent_table)) {
+      continue;
+    }
+    // Allocate the child's counterpart (born locked in the child's cursor)
+    // and recurse. On failure the present count accumulated so far must
+    // still be persisted — the caller tears the partial clone down through
+    // the normal unmap path, which decrements it per slot.
     Result<Pfn> clone = child_pt.AllocPtPage(level - 1);
     if (!clone.ok()) {
-      mem.Descriptor(child_page).present_ptes.store(--present, std::memory_order_relaxed);
+      mem.Descriptor(child_page).present_ptes.store(present, std::memory_order_relaxed);
       return clone.error();
     }
     child.NoteLocked(*clone, level - 1);
-    VoidResult r = CloneSubtree(child, PtePfn(arch, pte), *clone, level - 1);
+    VoidResult r = CloneSubtree(child, parent_table, *clone, level - 1);
     child_pt.StoreEntry(child_page, i, MakeTablePte(arch, *clone));
+    ++present;
     if (!r.ok()) {
       mem.Descriptor(child_page).present_ptes.store(present, std::memory_order_relaxed);
       return r;
@@ -378,6 +409,26 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
   uint64_t span = PtEntrySpan(level);
   uint64_t first = (sub.start - page_base) / span;
   uint64_t last = (sub.end - 1 - page_base) / span;
+  // Per-leaf bookkeeping is settled once per call: the present count and the
+  // resident pages at the end, the flush once per run of contiguous cleared
+  // leaves. Runs are noted in address order (the pending one before any
+  // recursion), so the gather ends up exactly as with one range per leaf.
+  uint16_t cleared = 0;
+  uint64_t frames = 0;
+  VaRange run;
+  auto clear_leaf = [&](uint64_t i, Vaddr entry_va) {
+    frames += DetachLeaf(pt_page, level, i);
+    ++cleared;
+    if (run.end != entry_va) {
+      NoteFlush(run);
+      run.start = entry_va;
+    }
+    run.end = entry_va + span;
+  };
+  auto end_run = [&] {
+    NoteFlush(run);
+    run = VaRange();
+  };
   for (uint64_t i = first; i <= last; ++i) {
     Vaddr entry_va = page_base + i * span;
     VaRange entry_range(entry_va, entry_va + span);
@@ -389,8 +440,9 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
       // Slot fully covered: drop whatever is here.
       StoreMeta(pt_page, i, PteMeta{});
       if (leaf) {
-        ClearLeaf(pt_page, level, i, entry_va);
+        clear_leaf(i, entry_va);
       } else if (present) {
+        end_run();
         UnmapIn(PtePfn(pt.arch(), pte), level - 1, entry_va, entry_range);
         RemoveChildTable(pt_page, level, i);
       }
@@ -406,11 +458,18 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
       // over-unmaps but never leaks or corrupts (kernel OOM-path tradeoff).
       StoreMeta(pt_page, i, PteMeta{});
       if (leaf) {
-        ClearLeaf(pt_page, level, i, entry_va);
+        clear_leaf(i, entry_va);
       }
       continue;
     }
+    end_run();
     UnmapIn(*child, level - 1, entry_va, inter);
+  }
+  NoteFlush(run);
+  if (cleared != 0) {
+    PhysMem::Instance().Descriptor(pt_page).present_ptes.fetch_sub(
+        cleared, std::memory_order_relaxed);
+    space_->AddResidentPages(-static_cast<int64_t>(frames));
   }
 }
 

@@ -17,6 +17,7 @@
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
 #include "src/sync/rcu.h"
+#include "src/tlb/shootdown.h"
 #include "src/verif/wf_checker.h"
 
 namespace cortenmm {
@@ -273,6 +274,76 @@ TEST_P(CoreConcurrencyTest, NoFrameLeaksUnderChurn) {
                            GlobalStats().Total(Counter::kFramesFreed);
   EXPECT_EQ(balance_before, balance_after)
       << "leaked " << (balance_after - balance_before) << " frames";
+}
+
+TEST_P(CoreConcurrencyTest, ForkWhileNeighborsChurn) {
+  // One thread forks repeatedly while the others mmap, touch and munmap
+  // 4-page chunks in their own 2 MiB slots, so every clone reads a tree that
+  // other transactions keep reshaping between forks, including the empty
+  // leaf PT pages the clone skips. Every child must be well formed, carry the
+  // parent's data and account its resident pages exactly; nothing may leak.
+  TlbSystem::Instance().DrainAll();
+  Rcu::Instance().DrainAll();
+  BuddyAllocator::Instance().FlushCpuCaches();
+  uint64_t baseline_free = BuddyAllocator::Instance().FreeFrameCount();
+  std::atomic<int> failures{0};
+  {
+    CortenVm mm(MakeOptions());
+    Vaddr base = 48ull << 30;
+    constexpr uint64_t kSlot = 2ull << 20;
+    constexpr uint64_t kKeptPages = 16;
+    ASSERT_TRUE(mm.vm().MmapAnonAt(base, kKeptPages * kPageSize, Perm::RW()).ok());
+    for (uint64_t p = 0; p < kKeptPages; ++p) {
+      ASSERT_TRUE(MmuSim::Write(mm, base + p * kPageSize, p + 1).ok());
+    }
+
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> churners;
+    for (int t = 1; t < StressThreads(); ++t) {
+      churners.emplace_back([&, t] {
+        BindThisThreadToCpu(t);
+        Vaddr slot = base + static_cast<uint64_t>(t) * kSlot;
+        Rng rng(t);
+        while (!stop.load(std::memory_order_acquire) && failures.load() == 0) {
+          Vaddr va = slot + rng.Below(64) * 4 * kPageSize;
+          if (!mm.vm().MmapAnonAt(va, 4 * kPageSize, Perm::RW()).ok() ||
+              !MmuSim::Write(mm, va, va).ok() || !mm.Munmap(va, 4 * kPageSize).ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    std::thread forker([&] {
+      BindThisThreadToCpu(0);
+      for (int round = 0; round < 40 && failures.load() == 0; ++round) {
+        std::unique_ptr<VmSpace> forked = mm.vm().Fork();
+        if (forked == nullptr) {
+          failures.fetch_add(1);
+          break;
+        }
+        CortenVm child(std::move(forked));
+        WfReport report = CheckWellFormed(child.vm().addr_space());
+        uint64_t value = 0;
+        Vaddr probe = base + (round % kKeptPages) * kPageSize;
+        if (!report.ok ||
+            child.vm().addr_space().ResidentPagesFast() != child.vm().ResidentPages() ||
+            !MmuSim::Read(child, probe, &value).ok() ||
+            value != (round % kKeptPages) + 1) {
+          failures.fetch_add(1);
+        }
+      }
+      stop.store(true, std::memory_order_release);
+    });
+    forker.join();
+    for (auto& c : churners) {
+      c.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+    WfReport report = CheckWellFormed(mm.vm().addr_space());
+    EXPECT_TRUE(report.ok) << report.first_error;
+  }
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
 }
 
 INSTANTIATE_TEST_SUITE_P(

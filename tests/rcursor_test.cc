@@ -293,6 +293,54 @@ TEST_P(RCursorTest, SparseUnmapFlushesOnceWithDiscreteRanges) {
   ASSERT_TRUE(cursor.Unmap(range).ok());
 }
 
+// One unmap over a leaf PT page with a hole (leaves at pages 0-3 and 8-11,
+// nothing at 4-7) gathers one range per run of contiguous cleared leaves —
+// two here — and invalidates exactly those: a TLB entry inside the hole
+// survives.
+TEST_P(RCursorTest, UnmapOverHoleGathersOneRangePerRun) {
+  AddrSpace space(MakeOptions());
+  VaRange range(0x900000, 0x900000 + 12 * kPageSize);
+  std::vector<Vaddr> mapped;
+  std::vector<Vaddr> hole;
+  for (uint64_t p = 0; p < 12; ++p) {
+    (p >= 4 && p < 8 ? hole : mapped).push_back(range.start + p * kPageSize);
+  }
+  {
+    RCursor cursor = space.Lock(range);
+    for (Vaddr va : mapped) {
+      ASSERT_TRUE(cursor.Map(va, AllocAnon(), Perm::RW()).ok());
+    }
+  }
+  ASSERT_EQ(space.ResidentPagesFast(), mapped.size());
+  CpuId cpu = CurrentCpu();
+  space.NoteCpuActive(cpu);
+  Tlb& tlb = TlbSystem::Instance().CpuTlb(cpu);
+  for (Vaddr va : mapped) {
+    tlb.Insert(space.asid(), va, 1, 1);
+  }
+  for (Vaddr va : hole) {
+    tlb.Insert(space.asid(), va, 1, 1);
+  }
+  const StatsDomain& stats = GlobalStats();
+  uint64_t gathered = stats.Total(Counter::kTlbRangesGathered);
+  uint64_t coalesced = stats.Total(Counter::kTlbRangesCoalesced);
+  uint64_t shootdowns = stats.Total(Counter::kTlbShootdowns);
+  {
+    RCursor cursor = space.Lock(range);
+    ASSERT_TRUE(cursor.Unmap(range).ok());
+  }
+  EXPECT_EQ(stats.Total(Counter::kTlbRangesGathered) - gathered, 2u);
+  EXPECT_EQ(stats.Total(Counter::kTlbRangesCoalesced) - coalesced, 0u);
+  EXPECT_EQ(stats.Total(Counter::kTlbShootdowns) - shootdowns, 1u);
+  for (Vaddr va : mapped) {
+    EXPECT_FALSE(tlb.Lookup(space.asid(), va).has_value()) << va;
+  }
+  for (Vaddr va : hole) {
+    EXPECT_TRUE(tlb.Lookup(space.asid(), va).has_value()) << va;
+  }
+  EXPECT_EQ(space.ResidentPagesFast(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothProtocols, RCursorTest,
                          ::testing::Values(Protocol::kRw, Protocol::kAdv),
                          [](const ::testing::TestParamInfo<Protocol>& info) {

@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/common/stats.h"
 #include "src/core/vm_space.h"
+#include "src/fault/fault_inject.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/sim/corten_vm.h"
 #include "src/sim/mmu.h"
+#include "src/sync/rcu.h"
+#include "src/tlb/shootdown.h"
+#include "src/verif/wf_checker.h"
 
 namespace cortenmm {
 namespace {
@@ -267,6 +272,216 @@ TEST(OnDemandTest, HugeRegionMarksStayCoarseUntilTouched) {
   EXPECT_LE(pt_after_mmap - pt_before, 8u);
   ASSERT_TRUE(MmuSim::Write(mm, *va + (512ull << 20), 1).ok());
   ASSERT_TRUE(mm.Munmap(*va, 1ull << 30).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Fork over a churned parent: empty PT subtrees are not cloned
+// ---------------------------------------------------------------------------
+
+constexpr Vaddr kChurnBase = 64ull << 30;
+constexpr uint64_t kSlotBytes = 2ull << 20;  // The span of one leaf PT page.
+constexpr int kChurnSlots = 8;
+
+// PT pages of |space| holding a present entry or a metadata mark.
+uint64_t CountPopulatedPtPages(AddrSpace& space) {
+  uint64_t populated = 0;
+  space.page_table().ForEachPtPagePostOrder(
+      space.page_table().root(), kPtLevels, [&populated](Pfn pfn, int) {
+        PageDescriptor& desc = PhysMem::Instance().Descriptor(pfn);
+        bool marked = false;
+        if (const PteMetaArray* meta = desc.meta.load(std::memory_order_acquire)) {
+          for (const PteMeta& entry : meta->entries) {
+            marked = marked || !entry.empty();
+          }
+        }
+        if (marked || desc.present_ptes.load(std::memory_order_relaxed) != 0) {
+          ++populated;
+        }
+      });
+  return populated;
+}
+
+// Small mmap/fault/munmap cycles over kChurnSlots 2 MiB slots. Even slots end
+// empty, but their leaf PT pages stay linked: a small munmap's covering lock
+// is the leaf page itself, so it cannot unlink it. Odd slots keep their first
+// 4-page region, whose first word holds the slot number + 1.
+void ChurnParent(CortenVm& mm) {
+  for (int slot = 0; slot < kChurnSlots; ++slot) {
+    Vaddr slot_base = kChurnBase + slot * kSlotBytes;
+    for (int k = 0; k < 4; ++k) {
+      Vaddr va = slot_base + k * 16 * kPageSize;
+      ASSERT_TRUE(mm.vm().MmapAnonAt(va, 4 * kPageSize, Perm::RW()).ok());
+      ASSERT_TRUE(MmuSim::TouchRange(mm, va, 4 * kPageSize, /*write=*/true).ok());
+      if (slot % 2 == 0 || k != 0) {
+        ASSERT_TRUE(mm.Munmap(va, 4 * kPageSize).ok());
+      }
+    }
+    if (slot % 2 == 1) {
+      ASSERT_TRUE(MmuSim::Write(mm, slot_base, slot + 1).ok());
+    }
+  }
+}
+
+void ExpectChurnedData(CortenVm& mm) {
+  for (int slot = 1; slot < kChurnSlots; slot += 2) {
+    uint64_t value = 0;
+    ASSERT_TRUE(MmuSim::Read(mm, kChurnBase + slot * kSlotBytes, &value).ok()) << slot;
+    EXPECT_EQ(value, static_cast<uint64_t>(slot + 1)) << slot;
+  }
+}
+
+// Drains deferred reclamation and returns the free-frame count a leak check
+// compares against.
+uint64_t QuiescedFreeFrames() {
+  TlbSystem::Instance().DrainAll();
+  Rcu::Instance().DrainAll();
+  BuddyAllocator::Instance().FlushCpuCaches();
+  return BuddyAllocator::Instance().FreeFrameCount();
+}
+
+TEST(ForkSkipTest, ChildOfChurnedParentHoldsOnlyPopulatedPtPages) {
+  CortenVm parent(AdvOptions());
+  ASSERT_NO_FATAL_FAILURE(ChurnParent(parent));
+  AddrSpace& parent_space = parent.vm().addr_space();
+  uint64_t parent_pages = parent_space.page_table().CountPtPages();
+  uint64_t populated = CountPopulatedPtPages(parent_space);
+  uint64_t resident = parent_space.ResidentPagesFast();
+  ASSERT_GE(parent_pages - populated, static_cast<uint64_t>(kChurnSlots / 2))
+      << "the churn left no empty leaf PT page to skip";
+
+  std::unique_ptr<VmSpace> forked = parent.vm().Fork();
+  ASSERT_NE(forked, nullptr);
+  CortenVm child(std::move(forked));
+  AddrSpace& child_space = child.vm().addr_space();
+  EXPECT_EQ(child_space.page_table().CountPtPages(), populated);
+  EXPECT_EQ(child_space.ResidentPagesFast(), resident);
+  WfReport child_report = CheckWellFormed(child_space);
+  EXPECT_TRUE(child_report.ok) << child_report.first_error;
+  WfReport parent_report = CheckWellFormed(parent_space);
+  EXPECT_TRUE(parent_report.ok) << parent_report.first_error;
+
+  // The parent keeps its empty tables and its contents.
+  EXPECT_EQ(parent_space.page_table().CountPtPages(), parent_pages);
+  EXPECT_EQ(CountPopulatedPtPages(parent_space), populated);
+  EXPECT_EQ(parent_space.ResidentPagesFast(), resident);
+  ExpectChurnedData(child);
+  ExpectChurnedData(parent);
+}
+
+// A table with no present entry can still carry state: never-faulted marks
+// and swapped-out pages. Those tables must be cloned.
+TEST(ForkSkipTest, MarkOnlyTablesAreCloned) {
+  uint64_t baseline_free = QuiescedFreeFrames();
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  {
+    CortenVm parent(AdvOptions());
+    Vaddr untouched = kChurnBase;             // Slot 0: a never-faulted mapping.
+    Vaddr swapped = kChurnBase + kSlotBytes;  // Slot 1: one swapped-out page.
+    ASSERT_TRUE(parent.vm().MmapAnonAt(untouched, 4 * kPageSize, Perm::RW()).ok());
+    ASSERT_TRUE(parent.vm().MmapAnonAt(swapped, kPageSize, Perm::RW()).ok());
+    ASSERT_TRUE(MmuSim::Write(parent, swapped, 0xfeed).ok());
+    Result<uint64_t> out = parent.SwapOut(swapped, kPageSize);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(*out, 1u);
+    ASSERT_EQ(parent.vm().addr_space().ResidentPagesFast(), 0u);
+
+    std::unique_ptr<VmSpace> forked = parent.vm().Fork();
+    ASSERT_NE(forked, nullptr);
+    CortenVm child(std::move(forked));
+    EXPECT_EQ(child.vm().addr_space().page_table().CountPtPages(),
+              parent.vm().addr_space().page_table().CountPtPages());
+    uint64_t value = 1;
+    ASSERT_TRUE(MmuSim::Read(child, untouched + 2 * kPageSize, &value).ok());
+    EXPECT_EQ(value, 0u);
+    ASSERT_TRUE(MmuSim::Read(child, swapped, &value).ok());
+    EXPECT_EQ(value, 0xfeedu);
+    ASSERT_TRUE(MmuSim::Read(parent, swapped, &value).ok());
+    EXPECT_EQ(value, 0xfeedu);
+    WfReport report = CheckWellFormed(child.vm().addr_space());
+    EXPECT_TRUE(report.ok) << report.first_error;
+  }
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
+}
+
+// Fail the N-th PT-page allocation of a fork, for every N up to the full
+// clone: each partial clone must roll back without leaking a frame or a swap
+// block, and leave the parent well formed with its data.
+TEST(ForkSkipTest, PartialClonesUnderPtAllocFailuresLeakNothing) {
+  uint64_t baseline_free = QuiescedFreeFrames();
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  {
+    CortenVm parent(AdvOptions());
+    ASSERT_NO_FATAL_FAILURE(ChurnParent(parent));
+    Vaddr swapped = kChurnBase + kSlotBytes + kPageSize;
+    Result<uint64_t> out = parent.SwapOut(swapped, kPageSize);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(*out, 1u);
+    uint64_t blocks_parent = SwapDevice::Instance().blocks_in_use();
+    // A full fork allocates one PT page per populated parent page (the root
+    // included) and nothing else.
+    uint64_t full_clone = CountPopulatedPtPages(parent.vm().addr_space());
+    for (uint64_t n = 0; n <= full_clone; ++n) {
+      FaultConfig fail_after_n;
+      fail_after_n.fail_after = n;
+      FaultInjector::Instance().Enable(FaultSite::kBuddyAllocFrame, fail_after_n);
+      std::unique_ptr<VmSpace> child = parent.vm().Fork();
+      FaultInjector::Instance().DisableAll();
+      EXPECT_EQ(child != nullptr, n == full_clone) << n;
+      child.reset();
+      EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_parent) << n;
+      WfReport report = CheckWellFormed(parent.vm().addr_space());
+      EXPECT_TRUE(report.ok) << n << ": " << report.first_error;
+      ASSERT_NO_FATAL_FAILURE(ExpectChurnedData(parent)) << n;
+    }
+    FaultInjector::Instance().ResetCounters();
+  }
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
+}
+
+// ---------------------------------------------------------------------------
+// Resident-set accounting
+// ---------------------------------------------------------------------------
+
+// The O(1) counter the cursor maintains must agree with a walk of the page
+// table through partial munmaps (splitting huge leaves), MAP_FIXED
+// replacement, fork and a full unmap.
+TEST(ResidentAccountingTest, FastCounterMatchesWalk) {
+  AddrSpace::Options options = AdvOptions();
+  options.huge_pages = true;
+  CortenVm mm(options);
+  auto expect_match = [](VmSpace& vm) {
+    EXPECT_EQ(vm.addr_space().ResidentPagesFast(), vm.ResidentPages());
+  };
+  constexpr uint64_t kLen = 4ull << 20;
+  Result<Vaddr> va = mm.MmapAnon(kLen, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(mm, *va, kLen, /*write=*/true).ok());
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), kLen / kPageSize);
+  expect_match(mm.vm());
+
+  ASSERT_TRUE(mm.Munmap(*va + 5 * kPageSize, 3 * kPageSize).ok());
+  expect_match(mm.vm());
+  Vaddr fixed = *va + kSlotBytes - 8 * kPageSize;
+  ASSERT_TRUE(mm.vm().MmapAnonAt(fixed, 16 * kPageSize, Perm::RW()).ok());
+  expect_match(mm.vm());
+  ASSERT_TRUE(MmuSim::TouchRange(mm, fixed + 4 * kPageSize, 8 * kPageSize, true).ok());
+  expect_match(mm.vm());
+
+  {
+    std::unique_ptr<VmSpace> child = mm.vm().Fork();
+    ASSERT_NE(child, nullptr);
+    expect_match(*child);
+    ASSERT_TRUE(child->Munmap(*va, kSlotBytes).ok());
+    expect_match(*child);
+  }
+  expect_match(mm.vm());
+  ASSERT_TRUE(mm.Munmap(*va, kLen).ok());
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 0u);
+  expect_match(mm.vm());
 }
 
 }  // namespace
