@@ -71,8 +71,9 @@ class RCursor {
   Status Query(Vaddr addr);
 
   // Maps physical frame |pfn| at |addr| with |perm| (4 KiB leaf). Any prior
-  // virtually-allocated mark on the page is consumed. Increments the frame's
-  // mapcount and records the reverse mapping.
+  // virtually-allocated mark on the page is consumed (a Swapped mark gives its
+  // block back). Increments the frame's mapcount and records the reverse
+  // mapping.
   VoidResult Map(Vaddr addr, Pfn pfn, Perm perm);
 
   // Maps a naturally-aligned huge leaf (level 2 = 2 MiB, level 3 = 1 GiB).
@@ -81,12 +82,14 @@ class RCursor {
   // Sets every page in |sub| to the virtually-allocated |status| (which must
   // not be kMapped). Large aligned spans are represented by a single mark on
   // an upper-level slot (§3.3's on-demand PTE creation). Existing mappings in
-  // |sub| are unmapped first. Marking kInvalid erases marks only.
+  // |sub| are unmapped first, and overwritten Swapped marks give their blocks
+  // back. Marking kInvalid erases marks only.
   VoidResult Mark(VaRange sub, const Status& status);
 
-  // Unmaps |sub|: clears leaf PTEs and metadata marks, removes fully-covered
-  // PT pages (stale + RCU-retire under kAdv), and queues the frames whose
-  // last mapping died for reclamation after the TLB shootdown.
+  // Unmaps |sub|: clears leaf PTEs and metadata marks (Swapped ones give their
+  // blocks back), removes fully-covered PT pages (stale + RCU-retire under
+  // kAdv), and queues the frames whose last mapping died for reclamation
+  // after the TLB shootdown.
   VoidResult Unmap(VaRange sub);
 
   // Extension: rewrites permissions of every mapped page and every mark in
@@ -96,13 +99,15 @@ class RCursor {
   // Pre-materializes every PT page a subsequent Mark/Unmap/Protect over |sub|
   // could need (splitting huge leaves and pushing marks down along the
   // partially-covered boundary) without changing the virtual-memory contents
-  // of any page — EnsureChild is semantics-preserving. After Prepare succeeds,
-  // those operations over |sub| cannot hit kNoMem, which is what makes them
-  // all-or-nothing: Mark/Unmap/Protect run it internally before mutating
-  // anything, and callers that must order side effects before the mutation
-  // (e.g. dropping swap-block refs before a MAP_FIXED replacement) call it
-  // explicitly first. |for_marks| additionally materializes children of
-  // absent unmarked boundary slots, which a non-invalid Mark writes into.
+  // of any page — EnsureChild is semantics-preserving. It is the only pass of
+  // those operations that allocates: Mark/Unmap/Protect run it before
+  // mutating anything, and their walks then only follow the tables it left,
+  // so they cannot hit kNoMem and are all-or-nothing. It stays public for
+  // callers whose side effect lives outside the cursor and must not happen
+  // unless the mutation will: SwapOut reserves before it writes the swap
+  // block, and mmbench replays the reserve pass as a layer of its own.
+  // |for_marks| additionally materializes children of absent unmarked
+  // boundary slots, which a non-invalid Mark writes into.
   // On kNoMem the address space is unchanged except for extra (empty or
   // equivalently-marked) PT pages, which every operation treats identically.
   // Callers are expected to have validated |sub| (the destructive ops do so
@@ -171,7 +176,13 @@ class RCursor {
   // --- Op helpers (rcursor.cc) ---
   PteMetaArray* MetaArrayOf(Pfn pt_page, bool create);
   PteMeta LoadMeta(Pfn pt_page, uint64_t index);
+  // Writes a slot's mark without touching swap-block references: for moving
+  // a mark out (PushDownMark) or rewriting its permissions (ProtectIn).
   void StoreMeta(Pfn pt_page, uint64_t index, const PteMeta& meta);
+  // Erases or overwrites the mark at a slot of a level-|level| PT page. A
+  // kSwapped mark owns one swap-block reference per page it covers; this is
+  // where the cursor drops them. CloneSubtree adds references for its copies.
+  void ReplaceMark(Pfn pt_page, int level, uint64_t index, const PteMeta& meta);
 
   // Ensures the slot |index| of |pt_page| (level |level| > 1) holds a child
   // table, pushing down any metadata mark or splitting any huge leaf.
@@ -187,8 +198,7 @@ class RCursor {
   VoidResult ReserveIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
                        bool for_marks);
   void UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub);
-  VoidResult MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
-                    const Status& status);
+  void MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub, const Status& status);
   void ProtectIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub, Perm perm);
   void StatusIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
                 const std::function<void(VaRange, const Status&)>& visit);

@@ -65,10 +65,21 @@ PteMeta RCursor::LoadMeta(Pfn pt_page, uint64_t index) {
 }
 
 void RCursor::StoreMeta(Pfn pt_page, uint64_t index, const PteMeta& meta) {
-  if (meta.empty() && MetaArrayOf(pt_page, /*create=*/false) == nullptr) {
+  MetaArrayOf(pt_page, /*create=*/true)->entries[index] = meta;
+}
+
+void RCursor::ReplaceMark(Pfn pt_page, int level, uint64_t index, const PteMeta& meta) {
+  PteMetaArray* array = MetaArrayOf(pt_page, /*create=*/!meta.empty());
+  if (array == nullptr) {
     return;  // Clearing a mark that does not exist.
   }
-  MetaArrayOf(pt_page, /*create=*/true)->entries[index] = meta;
+  PteMeta& old = array->entries[index];
+  if (static_cast<StatusTag>(old.tag) == StatusTag::kSwapped) {
+    for (uint64_t p = 0; p < LeafFrames(level); ++p) {
+      SwapDevice::Instance().DropBlockRef(old.aux32 + static_cast<uint32_t>(p));
+    }
+  }
+  old = meta;
 }
 
 // ---------------------------------------------------------------------------
@@ -144,7 +155,8 @@ Result<Pfn> RCursor::EnsureChild(Pfn pt_page, int level, uint64_t index) {
 // SplitLeaf preserve the virtual-memory contents exactly (split leaves map the
 // same frames, pushed-down marks encode the same status), so running them
 // eagerly is observationally free — and once they have run, the destructive
-// pass finds present tables everywhere it would have allocated and cannot fail.
+// pass finds present tables everywhere it would have allocated and cannot fail
+// (UnmapIn, MarkIn and ProtectIn assert it rather than allocate).
 VoidResult RCursor::ReserveIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
                               bool for_marks) {
   if (level <= 1) {
@@ -277,7 +289,7 @@ VoidResult RCursor::MapHuge(Vaddr addr, Pfn pfn, Perm perm, int level) {
       RemoveChildTable(page, level, index);
     }
   }
-  StoreMeta(page, index, PteMeta{});
+  ReplaceMark(page, level, index, PteMeta{});
   pt.StoreEntry(page, index, MakeLeafPte(pt.arch(), pfn, perm, level));
   mem.Descriptor(page).present_ptes.fetch_add(1, std::memory_order_relaxed);
   uint64_t frames = LeafFrames(level);
@@ -438,7 +450,7 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
     bool leaf = present && PteIsLeaf(pt.arch(), pte, level);
     if (inter == entry_range) {
       // Slot fully covered: drop whatever is here.
-      StoreMeta(pt_page, i, PteMeta{});
+      ReplaceMark(pt_page, level, i, PteMeta{});
       if (leaf) {
         clear_leaf(i, entry_va);
       } else if (present) {
@@ -448,22 +460,14 @@ void RCursor::UnmapIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub) {
       }
       continue;
     }
-    // Partial overlap: materialize a child and recurse.
-    if (!present && LoadMeta(pt_page, i).empty()) {
-      continue;  // Nothing mapped or marked here.
-    }
-    Result<Pfn> child = EnsureChild(pt_page, level, i);
-    if (!child.ok()) {
-      // Out of memory while splitting: drop the whole slot instead. This
-      // over-unmaps but never leaks or corrupts (kernel OOM-path tradeoff).
-      StoreMeta(pt_page, i, PteMeta{});
-      if (leaf) {
-        clear_leaf(i, entry_va);
-      }
+    // Partial overlap: Prepare left a table here unless the slot is empty.
+    if (!present) {
+      assert(LoadMeta(pt_page, i).empty());
       continue;
     }
+    assert(!leaf);
     end_run();
-    UnmapIn(*child, level - 1, entry_va, inter);
+    UnmapIn(PtePfn(pt.arch(), pte), level - 1, entry_va, inter);
   }
   NoteFlush(run);
   if (cleared != 0) {
@@ -479,8 +483,8 @@ VoidResult RCursor::Unmap(VaRange sub) {
   }
   // All-or-nothing: take every allocation up front. If this fails the address
   // space is semantically unchanged and the caller sees kNoMem; afterwards the
-  // destructive walk below cannot allocate (its EnsureChild calls find the
-  // tables Prepare installed), so it cannot fail part-way.
+  // destructive walk below only follows the tables Prepare installed, so it
+  // cannot fail part-way.
   VoidResult reserved = Prepare(sub, /*for_marks=*/false);
   if (!reserved.ok()) {
     return reserved;
@@ -494,8 +498,8 @@ VoidResult RCursor::Unmap(VaRange sub) {
 // Mark
 // ---------------------------------------------------------------------------
 
-VoidResult RCursor::MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
-                           const Status& status) {
+void RCursor::MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
+                     const Status& status) {
   PageTable& pt = space_->page_table();
   uint64_t span = PtEntrySpan(level);
   uint64_t first = (sub.start - page_base) / span;
@@ -516,28 +520,22 @@ VoidResult RCursor::MarkIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub,
         UnmapIn(PtePfn(pt.arch(), pte), level - 1, entry_va, entry_range);
         RemoveChildTable(pt_page, level, i);
       }
-      if (status.invalid()) {
-        StoreMeta(pt_page, i, PteMeta{});
-      } else {
-        StoreMeta(pt_page, i,
-                  EncodeMeta(OffsetStatus(status, (entry_va - sub.start) >> kPageBits)));
-      }
+      ReplaceMark(pt_page, level, i,
+                  status.invalid()
+                      ? PteMeta{}
+                      : EncodeMeta(OffsetStatus(status, (entry_va - sub.start) >> kPageBits)));
       continue;
     }
-    if (!present && LoadMeta(pt_page, i).empty() && status.invalid()) {
-      continue;  // Erasing marks from an empty slot: nothing to do.
+    // Partial overlap: Prepare left a table here, except in an empty slot
+    // that an erase (which Prepare does not reserve for) has nothing to do in.
+    if (!present) {
+      assert(status.invalid() && LoadMeta(pt_page, i).empty());
+      continue;
     }
-    Result<Pfn> child = EnsureChild(pt_page, level, i);
-    if (!child.ok()) {
-      return child.error();  // Unreachable after a successful Prepare.
-    }
-    VoidResult r = MarkIn(*child, level - 1, entry_va, inter,
-                          OffsetStatus(status, (inter.start - sub.start) >> kPageBits));
-    if (!r.ok()) {
-      return r;
-    }
+    assert(!leaf);
+    MarkIn(PtePfn(pt.arch(), pte), level - 1, entry_va, inter,
+           OffsetStatus(status, (inter.start - sub.start) >> kPageBits));
   }
-  return VoidResult();
 }
 
 VoidResult RCursor::Mark(VaRange sub, const Status& status) {
@@ -554,7 +552,8 @@ VoidResult RCursor::Mark(VaRange sub, const Status& status) {
     return reserved;
   }
   Vaddr covering_base = AlignDown(range_.start, PtPageSpan(covering_level_));
-  return MarkIn(covering_, covering_level_, covering_base, sub, status);
+  MarkIn(covering_, covering_level_, covering_base, sub, status);
+  return VoidResult();
 }
 
 // ---------------------------------------------------------------------------
@@ -572,17 +571,10 @@ void RCursor::ProtectIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub, Pe
     VaRange inter = sub.Intersect(entry_range);
     Pte pte = pt.LoadEntry(pt_page, i);
     bool present = PteIsPresent(pt.arch(), pte);
-    bool leaf = present && PteIsLeaf(pt.arch(), pte, level);
-    if (leaf && inter != entry_range) {
-      // Partial protection of a huge leaf: split, then recurse.
-      Result<Pfn> child = SplitLeaf(pt_page, level, i);
-      if (!child.ok()) {
-        continue;  // OOM: leave old permissions in place on this slot.
-      }
-      ProtectIn(*child, level - 1, entry_va, inter, perm);
-      continue;
-    }
-    if (leaf) {
+    // Prepare split every partially covered huge leaf and pushed every
+    // partially covered mark down, so leaves and marks here are whole.
+    if (present && PteIsLeaf(pt.arch(), pte, level)) {
+      assert(inter == entry_range);
       // COW pages stay hardware read-only; the COW mark survives mprotect.
       Perm old = PtePerm(pt.arch(), pte);
       Perm updated = perm;
@@ -602,16 +594,9 @@ void RCursor::ProtectIn(Pfn pt_page, int level, Vaddr page_base, VaRange sub, Pe
     if (meta.empty()) {
       continue;
     }
-    if (inter == entry_range) {
-      meta.perm = perm.bits;
-      StoreMeta(pt_page, i, meta);
-    } else {
-      Result<Pfn> child = EnsureChild(pt_page, level, i);  // Pushes the mark down.
-      if (!child.ok()) {
-        continue;
-      }
-      ProtectIn(*child, level - 1, entry_va, inter, perm);
-    }
+    assert(inter == entry_range);
+    meta.perm = perm.bits;
+    StoreMeta(pt_page, i, meta);
   }
 }
 

@@ -26,46 +26,6 @@ Result<Pfn> AllocAnonFrame(bool zeroed) {
                 : buddy.AllocFrame(FrameType::kAnon);
 }
 
-// Releases the swap blocks referenced by Swapped marks in |range|; called
-// before any operation that overwrites marks wholesale (munmap, MAP_FIXED
-// replacement, teardown).
-void DropSwapRefs(RCursor& cursor, VaRange range) {
-  cursor.ForEachStatus(range, [](VaRange run, const Status& status) {
-    if (status.tag == StatusTag::kSwapped) {
-      for (uint64_t p = 0; p < run.num_pages(); ++p) {
-        SwapDevice::Instance().DropBlockRef(status.page_offset + static_cast<uint32_t>(p));
-      }
-    }
-  });
-}
-
-// MAP_FIXED anonymous mapping of |range| inside a transaction covering it:
-// whatever was there is replaced atomically. Every PT page the replacement
-// could need is reserved *before* the destructive pass: DropSwapRefs consumes
-// block references, so it must not run while the replacement can still fail.
-// After Prepare, Mark cannot hit kNoMem.
-VoidResult MapAnonFixedLocked(RCursor& cursor, VaRange range, Perm perm) {
-  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/true);
-  if (!reserved.ok()) {
-    return reserved;
-  }
-  DropSwapRefs(cursor, range);  // Replaced swapped pages give their blocks back.
-  return cursor.Mark(range, Status::PrivateAnon(perm));
-}
-
-// Figure 8, do_syscall_munmap, inside a transaction covering |range|. The
-// boundary splits are reserved first so block references are only dropped
-// once the unmap is guaranteed to go through. The caller returns the VA to
-// the allocator after the transaction commits.
-VoidResult UnmapLocked(RCursor& cursor, VaRange range) {
-  VoidResult reserved = cursor.Prepare(range, /*for_marks=*/false);
-  if (!reserved.ok()) {
-    return reserved;
-  }
-  DropSwapRefs(cursor, range);  // Swapped pages lose their blocks.
-  return cursor.Unmap(range);
-}
-
 }  // namespace
 
 VmSpace::VmSpace(const AddrSpace::Options& options) : space_(options) {
@@ -90,18 +50,14 @@ Result<std::unique_ptr<VmSpace>> VmSpace::Create(const AddrSpace::Options& optio
 }
 
 VmSpace::~VmSpace() {
-  // Deregister from the reclaim tenant registry FIRST — before the teardown
-  // transaction below takes the whole-space lock. The governor waits out any
-  // in-flight reclaimer pinning this space; doing that while holding the
+  // Deregister from the reclaim tenant registry FIRST — before the AddrSpace
+  // destructor's teardown transaction takes the whole-space lock (its Unmap
+  // also gives back the swap blocks of Swapped marks). The governor waits out
+  // any in-flight reclaimer pinning this space; doing that while holding the
   // whole-space cursor would deadlock against a reclaimer blocked on it.
   if (MemPressureGovernor* governor = PressureGovernor()) {
     governor->OnSpaceDestroying(this);
   }
-  // Release swap blocks still referenced by marks; the AddrSpace destructor
-  // then tears down the page table itself through the transactional interface.
-  VaRange everything(0, kVaLimit);
-  RCursor cursor = space_.Lock(everything);
-  DropSwapRefs(cursor, everything);
 }
 
 // ---------------------------------------------------------------------------
@@ -135,7 +91,7 @@ VoidResult VmSpace::MmapAnonAt(Vaddr va, uint64_t len, Perm perm) {
   len = AlignUp(len, kPageSize);
   VaRange range(va, va + len);
   RCursor cursor = space_.Lock(range);
-  return MapAnonFixedLocked(cursor, range, perm);
+  return cursor.Mark(range, Status::PrivateAnon(perm));
 }
 
 Result<Vaddr> VmSpace::MmapFilePrivate(SimFile* file, uint32_t first_page, uint64_t len,
@@ -197,7 +153,7 @@ VoidResult VmSpace::Munmap(Vaddr va, uint64_t len) {
   VaRange range(va, va + len);
   {
     RCursor cursor = space_.Lock(range);
-    VoidResult r = UnmapLocked(cursor, range);
+    VoidResult r = cursor.Unmap(range);
     if (!r.ok()) {
       return r;
     }
@@ -338,16 +294,13 @@ VoidResult VmSpace::FaultInPage(RCursor& cursor, Vaddr page_va, const Status& st
         FaultInjector::NoteRolledBack();
         return read;
       }
+      // Map consumes the Swapped mark and with it the block reference; if it
+      // fails, the mark and its reference survive.
       VoidResult mapped = cursor.Map(page_va, *frame, status.perm);
       if (!mapped.ok()) {
         DropFrameRef(*frame);
         FaultInjector::NoteRolledBack();
-        return mapped;
       }
-      // The Swapped mark was consumed by the map; only now is it safe to give
-      // up the block reference it carried (dropping earlier would double-free
-      // the block if the map failed and the mark survived).
-      SwapDevice::Instance().DropBlockRef(status.page_offset);
       return mapped;
     }
 
@@ -691,7 +644,7 @@ bool VmSpace::TryExecuteFused(const MmSqe* sqes, MmCqe* cqes, size_t n) {
       VaRange range(sqe.va, sqe.va + AlignUp(sqe.len, kPageSize));
       switch (sqe.op) {
         case MmOpCode::kMmapAnonFixed: {
-          VoidResult r = MapAnonFixedLocked(*cursor, range, sqe.perm);
+          VoidResult r = cursor->Mark(range, Status::PrivateAnon(sqe.perm));
           if (r.ok()) {
             cqe.va = sqe.va;
           } else {
@@ -700,7 +653,7 @@ bool VmSpace::TryExecuteFused(const MmSqe* sqes, MmCqe* cqes, size_t n) {
           break;
         }
         case MmOpCode::kMunmap: {
-          VoidResult r = UnmapLocked(*cursor, range);
+          VoidResult r = cursor->Unmap(range);
           if (r.ok()) {
             deferred_frees.push_back(range);
           } else {

@@ -172,21 +172,22 @@ void MmRing::Drain() {
   std::vector<MmCqe> group_cqes;
   std::vector<MmSqe> batch;
 
-  // Runs one executor call over |n| ops and fans completions back to |cpu|.
-  auto run_group = [&](const MmSqe* const* sqes, size_t n, int cpu) {
+  // Runs one executor call over |n| ops and fans each completion back to its
+  // op's owner CPU, in op order.
+  auto run_group = [&](const WaveOp* ops, size_t n) {
     batch.clear();
     group_cqes.assign(n, MmCqe{});
-    for (size_t i = 0; i < n; ++i) {
-      batch.push_back(*sqes[i]);
-      group_cqes[i].user_data = sqes[i]->user_data;
+    for (size_t k = 0; k < n; ++k) {
+      batch.push_back(*ops[k].sqe);
+      group_cqes[k].user_data = ops[k].sqe->user_data;
     }
     executor_(batch.data(), group_cqes.data(), n);
     if (n >= 2) {
       CountEvent(Counter::kRingFusedGroupOps, n);
     }
-    for (size_t i = 0; i < n; ++i) {
-      group_cqes[i].user_data = sqes[i]->user_data;  // Executor must not remap.
-      PostCompletion(cpu, group_cqes[i]);
+    for (size_t k = 0; k < n; ++k) {
+      group_cqes[k].user_data = ops[k].sqe->user_data;  // Executor must not remap.
+      PostCompletion(queues[ops[k].queue].cpu, group_cqes[k]);
     }
   };
 
@@ -221,9 +222,9 @@ void MmRing::Drain() {
         if (q.next >= q.ops.size()) {
           continue;
         }
-        const MmSqe* one = &q.ops[q.next];
+        WaveOp one{0, qi, &q.ops[q.next]};
         ++q.next;
-        run_group(&one, 1, q.cpu);
+        run_group(&one, 1);
         --remaining;
       }
       continue;
@@ -246,23 +247,9 @@ void MmRing::Drain() {
              j - i < kMaxFusedOps) {
         ++j;
       }
-      // One bucket chunk [i, j). Execute as a single batch, then fan out.
-      size_t n = j - i;
-      batch.clear();
-      group_cqes.assign(n, MmCqe{});
-      for (size_t k = 0; k < n; ++k) {
-        batch.push_back(*wave[i + k].sqe);
-        group_cqes[k].user_data = wave[i + k].sqe->user_data;
-      }
-      executor_(batch.data(), group_cqes.data(), n);
-      if (n >= 2) {
-        CountEvent(Counter::kRingFusedGroupOps, n);
-      }
-      for (size_t k = 0; k < n; ++k) {
-        group_cqes[k].user_data = wave[i + k].sqe->user_data;
-        PostCompletion(queues[wave[i + k].queue].cpu, group_cqes[k]);
-      }
-      remaining -= n;
+      // One bucket chunk [i, j): a single batch, then the fan-out.
+      run_group(&wave[i], j - i);
+      remaining -= j - i;
       i = j;
     }
   }

@@ -71,15 +71,6 @@ class Rcu {
   CacheAligned<RetireList> retired_[kMaxCpus];
 };
 
-// RAII read-side section.
-class RcuReadGuard {
- public:
-  RcuReadGuard() { Rcu::Instance().ReadLock(); }
-  ~RcuReadGuard() { Rcu::Instance().ReadUnlock(); }
-  RcuReadGuard(const RcuReadGuard&) = delete;
-  RcuReadGuard& operator=(const RcuReadGuard&) = delete;
-};
-
 }  // namespace cortenmm
 
 #endif  // SRC_SYNC_RCU_H_

@@ -3,8 +3,11 @@
 // push-down, huge-page mapping and splitting, and status enumeration.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/stats.h"
 #include "src/core/addr_space.h"
+#include "src/core/backing.h"
 #include "src/pmm/buddy.h"
 #include "src/pmm/phys_mem.h"
 #include "src/verif/wf_checker.h"
@@ -18,6 +21,14 @@ class RCursorTest : public ::testing::TestWithParam<Protocol> {
     AddrSpace::Options options;
     options.protocol = GetParam();
     return options;
+  }
+
+  // A real swap block holding a zero page, as SwapOut would write.
+  uint32_t WriteBlock() {
+    std::vector<std::byte> zeros(kPageSize);
+    Result<uint32_t> block = SwapDevice::Instance().WriteNewBlock(zeros.data());
+    EXPECT_TRUE(block.ok());
+    return *block;
   }
 
   Pfn AllocAnon() {
@@ -80,20 +91,37 @@ TEST_P(RCursorTest, MarkPushdownOnPartialOverwrite) {
   // Overwrite one page in the middle with a different status: the mark must
   // be pushed down and only that page changed.
   Vaddr victim = big.start + (1ull << 20);
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  uint32_t block = WriteBlock();
   {
     RCursor cursor = space.Lock(VaRange(victim, victim + kPageSize));
     ASSERT_TRUE(cursor
                     .Mark(VaRange(victim, victim + kPageSize),
-                          Status::Swapped(0, 99, Perm::RW()))
+                          Status::Swapped(0, block, Perm::RW()))
                     .ok());
   }
   RCursor cursor = space.Lock(big);
   EXPECT_EQ(cursor.Query(big.start).tag, StatusTag::kPrivateAnon);
   EXPECT_EQ(cursor.Query(victim).tag, StatusTag::kSwapped);
-  EXPECT_EQ(cursor.Query(victim).page_offset, 99u);
+  EXPECT_EQ(cursor.Query(victim).page_offset, block);
   EXPECT_EQ(cursor.Query(victim + kPageSize).tag, StatusTag::kPrivateAnon);
-  // Clean up the fake swap mark so teardown doesn't drop a bogus block ref.
+  // Overwriting the Swapped mark gives its block back.
   cursor.Mark(VaRange(victim, victim + kPageSize), Status::PrivateAnon(Perm::RW()));
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+}
+
+// A Swapped mark owns its block even without a VmSpace around the address
+// space: the AddrSpace teardown's Unmap gives it back.
+TEST_P(RCursorTest, TeardownReleasesSwappedMarkBlocks) {
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  {
+    AddrSpace space(MakeOptions());
+    VaRange page(0x500000, 0x500000 + kPageSize);
+    RCursor cursor = space.Lock(page);
+    ASSERT_TRUE(cursor.Mark(page, Status::Swapped(0, WriteBlock(), Perm::RW())).ok());
+    EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before + 1);
+  }
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
 }
 
 TEST_P(RCursorTest, OffsetBearingMarkDecodesPerPage) {

@@ -165,6 +165,79 @@ TEST(SwapTest, MunmapReleasesBlocks) {
   EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), used - 4);
 }
 
+// MAP_FIXED over swapped pages erases their Swapped marks, and with them the
+// marks' block references.
+TEST(SwapTest, MapFixedOverSwappedPagesReleasesBlocks) {
+  CortenVm mm(AdvOptions());
+  Result<Vaddr> va = mm.MmapAnon(4 * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(mm, *va, 4 * kPageSize, true).ok());
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  Result<uint64_t> swapped = mm.SwapOut(*va, 4 * kPageSize);
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_EQ(*swapped, 4u);
+  ASSERT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before + 4);
+  ASSERT_TRUE(mm.vm().MmapAnonAt(*va, 4 * kPageSize, Perm::RW()).ok());
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  uint64_t value = 1;
+  ASSERT_TRUE(MmuSim::Read(mm, *va, &value).ok());
+  EXPECT_EQ(value, 0u);  // Demand-zero again, not the swapped contents.
+}
+
+// The same through the ring: a MAP_FIXED and a fault in one subtree run as
+// one fused transaction.
+TEST(SwapTest, RingFusedMapFixedOverSwappedPagesReleasesBlocks) {
+  CortenVm mm(AdvOptions());
+  Result<Vaddr> va = mm.MmapAnon(4 * kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::TouchRange(mm, *va, 4 * kPageSize, true).ok());
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  Result<uint64_t> swapped = mm.SwapOut(*va, 4 * kPageSize);
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_EQ(*swapped, 4u);
+  uint64_t fused_before = GlobalStats().Total(Counter::kFusedTxns);
+  MmSqe map;
+  map.op = MmOpCode::kMmapAnonFixed;
+  map.va = *va;
+  map.len = 4 * kPageSize;
+  map.perm = Perm::RW();
+  map.user_data = 1;
+  MmSqe fault;
+  fault.op = MmOpCode::kFault;
+  fault.va = *va;
+  fault.access = Access::kWrite;
+  fault.user_data = 2;
+  ASSERT_TRUE(mm.Submit(map));
+  ASSERT_TRUE(mm.Submit(fault));
+  mm.DrainBarrier();
+  for (uint64_t cookie = 1; cookie <= 2; ++cookie) {
+    MmCqe cqe;
+    ASSERT_TRUE(mm.Reap(&cqe));
+    EXPECT_EQ(cqe.user_data, cookie);
+    EXPECT_EQ(cqe.err, ErrCode::kOk) << cookie;
+  }
+  EXPECT_EQ(GlobalStats().Total(Counter::kFusedTxns), fused_before + 1);
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  EXPECT_EQ(mm.vm().addr_space().ResidentPagesFast(), 1u);
+}
+
+TEST(SwapTest, SwapInFaultReleasesItsBlock) {
+  CortenVm mm(AdvOptions());
+  Result<Vaddr> va = mm.MmapAnon(kPageSize, Perm::RW());
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(MmuSim::Write(mm, *va, 77).ok());
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  Result<uint64_t> swapped = mm.SwapOut(*va, kPageSize);
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_EQ(*swapped, 1u);
+  ASSERT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before + 1);
+  ASSERT_TRUE(mm.HandleFault(*va, Access::kRead).ok());
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  uint64_t value = 0;
+  ASSERT_TRUE(MmuSim::Read(mm, *va, &value).ok());
+  EXPECT_EQ(value, 77u);
+}
+
 TEST(SwapTest, SwapSkipsSharedCowPages) {
   CortenVm parent(AdvOptions());
   Result<Vaddr> va = parent.MmapAnon(kPageSize, Perm::RW());
@@ -436,6 +509,52 @@ TEST(ForkSkipTest, PartialClonesUnderPtAllocFailuresLeakNothing) {
       ASSERT_NO_FATAL_FAILURE(ExpectChurnedData(parent)) << n;
     }
     FaultInjector::Instance().ResetCounters();
+  }
+  EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
+  LeakReport leaks = CheckFrameLeaks(baseline_free);
+  EXPECT_TRUE(leaks.ok) << "leaked " << leaks.leaked << " frames";
+}
+
+// CloneInto straight between two address spaces, failing the N-th PT-page
+// allocation: the partial child must be well formed (its persisted present
+// counts match its slots) before anything tears it down, and its teardown
+// must return every frame and swap block the clone took.
+TEST(ForkSkipTest, PartialCloneIntoLeavesChildWellFormed) {
+  uint64_t baseline_free = QuiescedFreeFrames();
+  uint64_t blocks_before = SwapDevice::Instance().blocks_in_use();
+  {
+    CortenVm parent(AdvOptions());
+    ASSERT_NO_FATAL_FAILURE(ChurnParent(parent));
+    Vaddr swapped = kChurnBase + kSlotBytes + kPageSize;
+    Result<uint64_t> out = parent.SwapOut(swapped, kPageSize);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(*out, 1u);
+    uint64_t blocks_parent = SwapDevice::Instance().blocks_in_use();
+    AddrSpace& parent_space = parent.vm().addr_space();
+    // The child's root exists before the clone, which allocates the rest.
+    uint64_t clone_allocs = CountPopulatedPtPages(parent_space) - 1;
+    const VaRange everything(0, kVaLimit);
+    for (uint64_t n = 0; n <= clone_allocs; ++n) {
+      AddrSpace child(AdvOptions());
+      VoidResult cloned;
+      {
+        RCursor parent_cursor = parent_space.Lock(everything);
+        RCursor child_cursor = child.Lock(everything);
+        FaultConfig fail_after_n;
+        fail_after_n.fail_after = n;
+        FaultInjector::Instance().Enable(FaultSite::kBuddyAllocFrame, fail_after_n);
+        cloned = parent_cursor.CloneInto(child_cursor);
+        FaultInjector::Instance().DisableAll();
+      }
+      EXPECT_EQ(cloned.ok(), n == clone_allocs) << n;
+      WfReport report = CheckWellFormed(child);
+      EXPECT_TRUE(report.ok) << n << ": " << report.first_error;
+    }
+    FaultInjector::Instance().ResetCounters();
+    EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_parent);
+    WfReport report = CheckWellFormed(parent_space);
+    EXPECT_TRUE(report.ok) << report.first_error;
+    ASSERT_NO_FATAL_FAILURE(ExpectChurnedData(parent));
   }
   EXPECT_EQ(SwapDevice::Instance().blocks_in_use(), blocks_before);
   LeakReport leaks = CheckFrameLeaks(baseline_free);
